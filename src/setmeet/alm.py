@@ -7,7 +7,10 @@ the second against the already-updated x:
     u <- argmin_{x' in P} <x - y, x'>;   x <- x + gamma_1 (u - x)
     v <- argmin_{y' in Q} <y - x, y'>;   y <- y + gamma_2 (v - y)
 
-Step rules: agnostic gamma = 2/(t+2), or the short step
+This is the two-block case of the cyclic engine in ``cbcg`` by
+construction: each iteration is two of its block steps on
+f(x, y) = ||x - y||^2, so the trace rows and step rules are the
+engine's.  Step rules: agnostic gamma = 2/(t+2), or the short step
 gamma_1 = min{<x - y, x - u> / ||x - u||^2, 1} (and symmetrically for
 gamma_2), clamped to [0, 1].
 
@@ -44,7 +47,14 @@ from typing import Union
 
 import numpy as np
 
-from .cbcg import ConvexCombination, IterateTrace, NumericsError, StepRule, TraceRow
+from .cbcg import (
+    BlockProblem,
+    ConvexCombination,
+    IterateTrace,
+    StepRule,
+    block_step,
+    distance_problem,
+)
 from .feasibility import FeasibilityProgram, solve_feasibility
 from .oracles import (
     DEDUP_TOL,
@@ -62,8 +72,6 @@ RATE_CONSTANT = 1.0 + 2.0 * math.sqrt(2.0)
 # Iterates closer than this are numerically in contact: the LMO
 # direction is zero and further steps carry no information.
 CONTACT_TOL = 1e-12
-
-SHORT_STEP_GUARD = 1e-14
 
 
 @dataclass
@@ -158,32 +166,69 @@ def _add_seen(seen: list[Array], vertex: Array) -> bool:
     return True
 
 
-def _gamma(rule: StepRule, t: int, num: float, den: float) -> float:
-    if rule is StepRule.AGNOSTIC:
-        return 2.0 / (t + 2)
-    if math.sqrt(den) < SHORT_STEP_GUARD:
-        return 0.0
-    return min(max(num / den, 0.0), 1.0)
+Seen = tuple[list[Array], list[Array]]
 
 
-def _validate_pair(set_p: OracleSet, set_q: OracleSet) -> None:
+def _begin(set_p, set_q, rule, max_iters, start):
+    """Validate a run; return its problem, empty trace, points, seen sets and start calls."""
     if set_p.dim != set_q.dim:
         raise DimensionMismatch(
             f"sets live in dimensions {set_p.dim} and {set_q.dim}"
         )
-
-
-def _init(set_p, set_q, start):
+    if max_iters < 1:
+        raise GeometryError("max_iters must be >= 1")
     if start is None:
         x, y = default_start(set_p, set_q)
-        return x, y, 2
-    x = as_vector(start[0], set_p.dim, "start x").copy()
-    y = as_vector(start[1], set_q.dim, "start y").copy()
-    if not set_p.contains(x, tol=1e-8):
-        raise GeometryError("start x is not in the first set")
-    if not set_q.contains(y, tol=1e-8):
-        raise GeometryError("start y is not in the second set")
-    return x, y, 0
+        calls = 2
+    else:
+        x = as_vector(start[0], set_p.dim, "start x").copy()
+        y = as_vector(start[1], set_q.dim, "start y").copy()
+        if not set_p.contains(x, tol=1e-8):
+            raise GeometryError("start x is not in the first set")
+        if not set_q.contains(y, tol=1e-8):
+            raise GeometryError("start y is not in the second set")
+        calls = 0
+    trace = IterateTrace(rule=rule, k=2)
+    trace.combinations = [ConvexCombination(x), ConvexCombination(y)]
+    return distance_problem(set_p, set_q), trace, [x, y], ([x.copy()], [y.copy()]), calls
+
+
+def _sweep(problem: BlockProblem, trace: IterateTrace, points: list[Array], t: int,
+           objective: float, calls: int, seen: Seen, u: Array | None = None) -> int:
+    """Iteration t: step x, then y against the new x; returns the LMO count.
+
+    Both steps are the engine's block steps on the distance objective,
+    trace rows 2t and 2t + 1.  ``objective`` is ||x - y||^2 as the
+    caller measured it; a ``u`` the caller already holds for direction
+    x - y replaces the first LMO call and is not charged again.
+    """
+    if u is None:
+        calls += 1
+    u = block_step(problem, trace, points, 2 * t, objective, calls, vertex=u)
+    _add_seen(seen[0], u)
+    calls += 1
+    v = block_step(problem, trace, points, 2 * t + 1, problem.value(points), calls)
+    _add_seen(seen[1], v)
+    return calls
+
+
+def _finish(problem: BlockProblem, trace: IterateTrace, points: list[Array], seen: Seen,
+            calls: int) -> AlmState:
+    """Close the trace at ``points`` and build the state; t counts completed sweeps."""
+    trace.final_points = points
+    trace.final_objective = problem.value(points)
+    return AlmState(
+        set_p=problem.blocks[0],
+        set_q=problem.blocks[1],
+        x=points[0],
+        y=points[1],
+        t=len(trace.rows) // 2,
+        seen_p=seen[0],
+        seen_q=seen[1],
+        lmo_calls=calls,
+        comb_x=trace.combinations[0],
+        comb_y=trace.combinations[1],
+    )
 
 
 def alm_run(
@@ -204,96 +249,47 @@ def alm_run(
     (hence the dual quantity) when ``record_margin`` is set, and
     midpoint distances when both sets support projection.  The margin
     and midpoint probes are instrumentation and are not charged to the
-    LMO counters.  The trace rows mirror the generic cyclic engine on
-    the two-block distance objective, row for row.
+    LMO counters.
     """
-    _validate_pair(set_p, set_q)
-    if max_iters < 1:
-        raise GeometryError("max_iters must be >= 1")
-    x, y, init_calls = _init(set_p, set_q, start)
-
-    trace = IterateTrace(rule=rule, k=2)
-    comb_x = ConvexCombination(x)
-    comb_y = ConvexCombination(y)
-    trace.combinations = [comb_x, comb_y]
+    problem, trace, points, seen, init_calls = _begin(set_p, set_q, rule, max_iters, start)
     if keep_points:
-        trace.points = [[x.copy(), y.copy()]]
-    seen_p: list[Array] = [x.copy()]
-    seen_q: list[Array] = [y.copy()]
+        trace.points = [[p.copy() for p in points]]
 
     both_project = supports_projection(set_p) and supports_projection(set_q)
     distance_sq: list[float] = []
     margin: list[float] | None = [] if record_margin else None
     midpoint: list[float] | None = [] if both_project and record_midpoint else None
 
-    def observe(d: Array, dsq: float) -> None:
+    def observe() -> float:
+        d = points[0] - points[1]
+        dsq = float(np.dot(d, d))
         distance_sq.append(dsq)
         if margin is not None:
             margin.append(support_gap(set_p, set_q, d))
         if midpoint is not None:
-            z = 0.5 * (x + y)
+            z = 0.5 * (points[0] + points[1])
             midpoint.append(
                 max(
                     float(np.linalg.norm(z - set_p.project(z))),
                     float(np.linalg.norm(z - set_q.project(z))),
                 )
             )
+        return dsq
 
-    engine_calls = 0
+    calls = 0
     contact = False
     for t in range(max_iters):
-        d = x - y
-        dsq = float(np.dot(d, d))
-        if not math.isfinite(dsq):
-            raise NumericsError(f"non-finite iterate distance at iteration {t}")
-        observe(d, dsq)
+        dsq = observe()
         if stop_on_contact and math.sqrt(dsq) <= CONTACT_TOL:
             contact = True
             break
-
-        u = set_p.lmo(d)
-        engine_calls += 1
-        _add_seen(seen_p, u)
-        diff = x - u
-        num = float(np.dot(d, diff))
-        gamma1 = _gamma(rule, t, num, float(np.dot(diff, diff)))
-        trace.rows.append(TraceRow(2 * t, 0, dsq, 2.0 * num, gamma1, engine_calls))
-        x = x + gamma1 * (u - x)
-        comb_x.step(u, gamma1)
-
-        d2 = y - x
-        v = set_q.lmo(d2)
-        engine_calls += 1
-        _add_seen(seen_q, v)
-        diff2 = y - v
-        num2 = float(np.dot(d2, diff2))
-        gamma2 = _gamma(rule, t, num2, float(np.dot(diff2, diff2)))
-        trace.rows.append(
-            TraceRow(2 * t + 1, 1, float(np.dot(d2, d2)), 2.0 * num2, gamma2, engine_calls)
-        )
-        y = y + gamma2 * (v - y)
-        comb_y.step(v, gamma2)
+        calls = _sweep(problem, trace, points, t, dsq, calls, seen)
         if keep_points:
-            trace.points.append([x.copy(), y.copy()])
+            trace.points.append([p.copy() for p in points])
 
     if not contact:
-        d = x - y
-        observe(d, float(np.dot(d, d)))
-
-    trace.final_points = [x, y]
-    trace.final_objective = distance_sq[-1]
-    state = AlmState(
-        set_p=set_p,
-        set_q=set_q,
-        x=x,
-        y=y,
-        t=len(distance_sq) - 1,
-        seen_p=seen_p,
-        seen_q=seen_q,
-        lmo_calls=init_calls + engine_calls,
-        comb_x=comb_x,
-        comb_y=comb_y,
-    )
+        observe()
+    state = _finish(problem, trace, points, seen, init_calls + calls)
     return AlmResult(trace, state, distance_sq, margin, midpoint, contact)
 
 
@@ -381,102 +377,57 @@ def adaptive_run(
     (charged as one LMO call).  A feasible LP yields an exact common
     point.  Runs on any geometry; the LP route is exact for polytopes.
     """
-    _validate_pair(set_p, set_q)
-    if max_iters < 1:
-        raise GeometryError("max_iters must be >= 1")
-    x, y, calls = _init(set_p, set_q, start)
+    problem, trace, points, seen, calls = _begin(set_p, set_q, rule, max_iters, start)
     d_p = set_p.diameter()
     d_q = set_q.diameter()
 
-    trace = IterateTrace(rule=rule, k=2)
-    comb_x = ConvexCombination(x)
-    comb_y = ConvexCombination(y)
-    trace.combinations = [comb_x, comb_y]
-    seen_p: list[Array] = [x.copy()]
-    seen_q: list[Array] = [y.copy()]
-    state = AlmState(set_p, set_q, x, y, 0, seen_p, seen_q, calls, comb_x, comb_y)
-
-    cache_dir: Array | None = None
-    cache_u: Array | None = None
+    cached_u: Array | None = None
     lp_support_size = -1
     best_distance = math.inf
     certificate: Certificate | None = None
 
     for t in range(max_iters):
-        d = x - y
-        dist = float(np.linalg.norm(d))
+        dist = float(np.linalg.norm(points[0] - points[1]))
         best_distance = min(best_distance, dist)
         if dist <= CONTACT_TOL:
-            certificate = _contact_certificate(comb_x, comb_y, x, calls, t)
+            certificate = _contact_certificate(*trace.combinations, points[0], calls, t)
             break
-
-        if cache_dir is not None and np.array_equal(d, cache_dir):
-            u = cache_u
-        else:
-            u = set_p.lmo(d)
-            calls += 1
-        cache_dir = None
-        cache_u = None
-        _add_seen(seen_p, u)
-        diff = x - u
-        num = float(np.dot(d, diff))
-        gamma1 = _gamma(rule, t, num, float(np.dot(diff, diff)))
-        trace.rows.append(TraceRow(2 * t, 0, dist * dist, 2.0 * num, gamma1, calls))
-        x = x + gamma1 * (u - x)
-        comb_x.step(u, gamma1)
-
-        d2 = y - x
-        v = set_q.lmo(d2)
-        calls += 1
-        _add_seen(seen_q, v)
-        diff2 = y - v
-        num2 = float(np.dot(d2, diff2))
-        gamma2 = _gamma(rule, t, num2, float(np.dot(diff2, diff2)))
-        trace.rows.append(
-            TraceRow(2 * t + 1, 1, float(np.dot(d2, d2)), 2.0 * num2, gamma2, calls)
-        )
-        y = y + gamma2 * (v - y)
-        comb_y.step(v, gamma2)
+        calls = _sweep(problem, trace, points, t, dist * dist, calls, seen, cached_u)
+        cached_u = None
 
         if t >= 1 and t & (t - 1) == 0:
-            g = x - y
+            g = points[0] - points[1]
             a = set_p.lmo(g)
             b = set_q.lmo(-g)
             calls += 2
-            _add_seen(seen_p, a)
-            _add_seen(seen_q, b)
+            _add_seen(seen[0], a)
+            _add_seen(seen[1], b)
             # The next iteration's first LMO uses this same direction.
-            cache_dir = g
-            cache_u = a
+            cached_u = a
             margin = float(np.dot(g, a) - np.dot(g, b))
             if margin > certificate_tolerance(float(np.linalg.norm(g)), d_p, d_q):
                 certificate = Disjoint(g.copy(), margin, calls, t + 1)
                 break
-            if len(seen_p) + len(seen_q) != lp_support_size:
-                lp_support_size = len(seen_p) + len(seen_q)
+            if len(seen[0]) + len(seen[1]) != lp_support_size:
+                lp_support_size = len(seen[0]) + len(seen[1])
                 calls += 1
                 combo = solve_feasibility(
-                    FeasibilityProgram(np.array(seen_p), np.array(seen_q))
+                    FeasibilityProgram(np.array(seen[0]), np.array(seen[1]))
                 )
                 if combo is not None:
                     certificate = IntersectionPoint(
                         point=combo.point,
                         weights_p=combo.lam,
-                        support_p=[s.copy() for s in seen_p],
+                        support_p=[s.copy() for s in seen[0]],
                         weights_q=combo.kappa,
-                        support_q=[s.copy() for s in seen_q],
+                        support_q=[s.copy() for s in seen[1]],
                         lmo_calls=calls,
                         iterations=t + 1,
                     )
                     break
 
-    state.x, state.y = x, y
-    state.t = len(trace.rows) // 2
-    state.lmo_calls = calls
-    trace.final_points = [x, y]
-    d = x - y
-    trace.final_objective = float(np.dot(d, d))
-    best_distance = min(best_distance, float(np.linalg.norm(d)))
+    state = _finish(problem, trace, points, seen, calls)
+    best_distance = min(best_distance, float(np.linalg.norm(points[0] - points[1])))
     if certificate is None:
         certificate = Undecided(best_distance, calls, max_iters)
     return certificate, trace, state

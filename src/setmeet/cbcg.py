@@ -189,6 +189,49 @@ def _check_start(problem: BlockProblem, start: Sequence[Array]) -> list[Array]:
     return points
 
 
+def block_step(
+    problem: BlockProblem,
+    trace: IterateTrace,
+    points: list[Array],
+    t: int,
+    objective: float,
+    lmo_calls: int,
+    *,
+    vertex: Array | None = None,
+    record_full_gap: bool = False,
+) -> Array:
+    """Iteration ``t`` of the engine: one step on block t mod k, in place.
+
+    ``objective`` is f(points) as the caller measured it, and
+    ``lmo_calls`` the run's count to record, this step's call included.
+    A ``vertex`` the caller already holds for this block's gradient
+    direction replaces the LMO call.  Appends the trace row, moves
+    ``points[i]`` and its convex combination, and returns the LMO output.
+    """
+    i = t % trace.k
+    if not math.isfinite(objective):
+        raise NumericsError(f"non-finite objective at iteration {t}")
+    grad = np.asarray(problem.grad_block(points, i), dtype=float)
+    if grad.shape != (problem.blocks[i].dim,):
+        raise GeometryError(
+            f"block {i} gradient has shape {grad.shape}, expected ({problem.blocks[i].dim},)"
+        )
+    if not np.all(np.isfinite(grad)):
+        raise NumericsError(f"non-finite gradient at iteration {t}")
+    full = full_gap(problem, points) if record_full_gap and i == 0 else None
+
+    v = problem.blocks[i].lmo(grad) if vertex is None else vertex
+    diff = points[i] - v
+    gap = float(np.dot(grad, diff))
+    gamma = step_size(
+        trace.rule, t, trace.k, gap, float(np.dot(diff, diff)), problem.block_lipschitz[i]
+    )
+    trace.rows.append(TraceRow(t, i, objective, gap, gamma, lmo_calls, full))
+    points[i] = points[i] + gamma * (v - points[i])
+    trace.combinations[i].step(v, gamma)
+    return v
+
+
 def cbcg_run(
     problem: BlockProblem,
     start: Sequence[Array],
@@ -207,36 +250,14 @@ def cbcg_run(
     if max_sweeps < 1:
         raise GeometryError("max_sweeps must be >= 1")
     points = _check_start(problem, start)
-    k = problem.k
-    trace = IterateTrace(rule=rule, k=k)
+    trace = IterateTrace(rule=rule, k=problem.k)
     trace.combinations = [ConvexCombination(p) for p in points]
     if keep_points:
         trace.points = [[p.copy() for p in points]]
-    lmo_calls = 0
 
-    for t in range(k * max_sweeps):
-        i = t % k
-        fval = float(problem.value(points))
-        if not math.isfinite(fval):
-            raise NumericsError(f"non-finite objective at iteration {t}")
-        grad = np.asarray(problem.grad_block(points, i), dtype=float)
-        if grad.shape != (problem.blocks[i].dim,):
-            raise GeometryError(
-                f"block {i} gradient has shape {grad.shape}, expected ({problem.blocks[i].dim},)"
-            )
-        if not np.all(np.isfinite(grad)):
-            raise NumericsError(f"non-finite gradient at iteration {t}")
-        full = full_gap(problem, points) if record_full_gap and i == 0 else None
-
-        v = problem.blocks[i].lmo(grad)
-        lmo_calls += 1
-        gap = float(np.dot(grad, points[i] - v))
-        diff = points[i] - v
-        gamma = step_size(rule, t, k, gap, float(np.dot(diff, diff)), problem.block_lipschitz[i])
-
-        trace.rows.append(TraceRow(t, i, fval, gap, gamma, lmo_calls, full))
-        points[i] = points[i] + gamma * (v - points[i])
-        trace.combinations[i].step(v, gamma)
+    for t in range(problem.k * max_sweeps):
+        block_step(problem, trace, points, t, float(problem.value(points)), t + 1,
+                   record_full_gap=record_full_gap)
         if keep_points:
             trace.points.append([p.copy() for p in points])
 

@@ -6,10 +6,9 @@ Problem files are JSON:
       "dimension": 2,
       "set_p": {"kind": "box", "lower": [0, 0], "upper": [1, 1]},
       "set_q": {"kind": "ball", "center": [3, 0], "radius": 1.0},
-      "algorithm": "alm",            // alm | alm-adaptive | pocs | cbcg
+      "algorithm": "alm",            // alm | alm-adaptive | pocs | cbcg (= alm)
       "step_rule": "agnostic",       // agnostic | short
       "max_iters": 1000,
-      "seed": 0,
       "output": "trace.csv"
     }
 
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alm, instances
-from .cbcg import IterateTrace, StepRule, cbcg_run, check_rate_bounds, distance_problem
+from .cbcg import IterateTrace, StepRule, cbcg_run, check_rate_bounds
 from .feasibility import FeasibilityProgram, epsilon_pq, membership, solve_feasibility
 from .oracles import (
     Ball,
@@ -37,7 +36,6 @@ from .oracles import (
     GeometryError,
     L1Ball,
     OracleSet,
-    ProjectionUnsupported,
     Simplex,
     VPolytope,
     support_gap,
@@ -67,7 +65,6 @@ class ProblemSpec:
     algorithm: str
     step_rule: StepRule
     max_iters: int
-    seed: int
     output: str
 
 
@@ -125,9 +122,6 @@ def parse_problem_spec(path) -> ProblemSpec:
     max_iters = raw.get("max_iters", 1000)
     if not isinstance(max_iters, int) or max_iters < 1:
         raise SpecError("spec.max_iters: must be an integer >= 1")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise SpecError("spec.seed: must be an integer")
 
     return ProblemSpec(
         dimension=dimension,
@@ -136,7 +130,6 @@ def parse_problem_spec(path) -> ProblemSpec:
         algorithm=algorithm,
         step_rule=rule,
         max_iters=max_iters,
-        seed=seed,
         output=raw.get("output", "trace.csv"),
     )
 
@@ -228,18 +221,13 @@ def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None
             spec.set_p, spec.set_q, spec.step_rule, spec.max_iters
         )
         write_trace_csv(trace, out_path)
-    elif spec.algorithm == "cbcg":
-        problem = distance_problem(spec.set_p, spec.set_q)
-        start = alm.default_start(spec.set_p, spec.set_q)
-        trace = cbcg_run(problem, start, spec.step_rule, spec.max_iters)
-        write_trace_csv(trace, out_path)
+    else:
+        # alm and cbcg name the same run: alm_run is the engine's two-block
+        # case on the distance objective.
         result = alm.alm_run(
             spec.set_p, spec.set_q, spec.step_rule, spec.max_iters,
             record_margin=False, record_midpoint=False,
         )
-        cert = _finish_two_set(result)
-    else:
-        result = alm.alm_run(spec.set_p, spec.set_q, spec.step_rule, spec.max_iters)
         write_trace_csv(result.trace, out_path)
         cert = _finish_two_set(result)
 
@@ -459,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "lmo":
             return lmo_probe(args.spec, args.direction)
         raise SpecError(f"unknown command {args.command!r}")
-    except (SpecError, GeometryError, ProjectionUnsupported, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -27,6 +27,7 @@ from setmeet import (
     support_gap,
     threshold_exceeded,
 )
+from setmeet.instances import TWO_SET_INSTANCES
 from helpers import brute_support_gap, primal_bound
 
 RULES = [StepRule.AGNOSTIC, StepRule.SHORT_STEP]
@@ -322,3 +323,26 @@ class TestSeenVertexRecovery:
             assert combo is not None, trial
             checked += 1
         assert checked >= 4
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
+@pytest.mark.parametrize("inst", TWO_SET_INSTANCES, ids=lambda inst: inst.name)
+def test_adaptive_run_is_alm_run_plus_checkpoints(inst, rule):
+    """Until it stops, the adaptive run takes alm_run's steps.
+
+    The lmo_calls column differs (the adaptive count includes the start,
+    checkpoint and LP charges), and even rows carry the objective as
+    ||x - y|| squared rather than <x - y, x - y>.
+    """
+    _cert, trace, _state = adaptive_run(inst.set_p, inst.set_q, rule, 300)
+    plain = alm_run(inst.set_p, inst.set_q, rule, 300, record_margin=False,
+                    record_midpoint=False).trace
+    assert len(trace.rows) <= len(plain.rows)
+    for mine, theirs in zip(trace.rows, plain.rows):
+        assert (mine.t, mine.block, mine.block_gap, mine.gamma) == (
+            theirs.t, theirs.block, theirs.block_gap, theirs.gamma
+        )
+        if mine.block == 1:
+            assert mine.objective == theirs.objective
+        else:
+            assert mine.objective == pytest.approx(theirs.objective, rel=1e-14, abs=1e-300)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from setmeet import VPolytope, membership, support_gap
+from setmeet import Ball, Box, L1Ball, Simplex, VPolytope, membership, support_gap
 from setmeet.cli import main, parse_problem_spec
+from setmeet.instances import TWO_SET_INSTANCES
 
 TRI_P = {"kind": "vpolytope", "vertices": [[0, 0], [2, 0], [0, 2]]}
 SEG_TOUCH = {"kind": "vpolytope", "vertices": [[1, 1], [3, 1]]}
@@ -206,3 +207,57 @@ def test_parse_problem_spec_fields(tmp_path):
     assert spec.max_iters == 77
     assert spec.algorithm == "alm-adaptive"
     assert spec.set_p.dim == 2
+
+
+BIG_BALLS = {
+    "set_p": {"kind": "ball", "center": [1e300, 0], "radius": 1.0},
+    "set_q": {"kind": "ball", "center": [-1e300, 0], "radius": 1.0},
+}
+
+
+@pytest.mark.parametrize("algorithm", ["alm", "alm-adaptive", "cbcg"])
+def test_numerics_error_exits_three(tmp_path, capsys, algorithm):
+    # ||x - y||^2 overflows: an error, never the disjoint verdict's exit 1.
+    path = write_spec(tmp_path, algorithm=algorithm, max_iters=10, **BIG_BALLS)
+    with np.errstate(over="ignore"):
+        assert main(["solve", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: non-finite")
+
+
+def test_lp_runtime_error_exits_three(tmp_path, capsys, monkeypatch):
+    def fail(program):
+        raise RuntimeError("phase-1 simplex exceeded the pivot limit")
+
+    monkeypatch.setattr("setmeet.alm.solve_feasibility", fail)
+    path = write_spec(tmp_path)
+    assert main(["solve", str(path)]) == 3
+    assert "error: phase-1 simplex" in capsys.readouterr().err
+
+
+def geometry_json(geom) -> dict:
+    if isinstance(geom, Box):
+        return {"kind": "box", "lower": geom.lower.tolist(), "upper": geom.upper.tolist()}
+    if isinstance(geom, (Ball, L1Ball)):
+        kind = "ball" if isinstance(geom, Ball) else "l1ball"
+        return {"kind": kind, "center": geom.center.tolist(), "radius": geom.radius}
+    if isinstance(geom, Simplex):
+        return {"kind": "simplex", "dimension": geom.dimension, "scale": geom.scale}
+    return {"kind": "vpolytope", "vertices": geom.vertices.tolist()}
+
+
+@pytest.mark.parametrize("rule", ["agnostic", "short"])
+@pytest.mark.parametrize("inst", TWO_SET_INSTANCES, ids=lambda inst: inst.name)
+def test_cbcg_solve_equals_alm_solve(tmp_path, inst, rule):
+    # Byte for byte, runs that stop on exact contact included.
+    outputs = {}
+    for algorithm in ("alm", "cbcg"):
+        csv = tmp_path / f"{algorithm}.csv"
+        path = write_spec(
+            tmp_path, name=f"{algorithm}.json", dimension=inst.set_p.dim,
+            set_p=geometry_json(inst.set_p), set_q=geometry_json(inst.set_q),
+            algorithm=algorithm, step_rule=rule, max_iters=300, output=str(csv),
+        )
+        rc = main(["solve", str(path)])
+        cert = tmp_path / f"{algorithm}.cert.json"
+        outputs[algorithm] = (rc, csv.read_bytes(), cert.read_bytes())
+    assert outputs["cbcg"] == outputs["alm"]
