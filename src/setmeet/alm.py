@@ -57,11 +57,11 @@ from .cbcg import (
 )
 from .feasibility import FeasibilityProgram, solve_feasibility
 from .oracles import (
-    DEDUP_TOL,
     Array,
     DimensionMismatch,
     GeometryError,
     OracleSet,
+    VertexSet,
     as_vector,
     support_gap,
     supports_projection,
@@ -78,8 +78,9 @@ CONTACT_TOL = 1e-12
 class AlmState:
     """Solver state after ``t`` completed iterations.
 
-    ``seen_p``/``seen_q`` hold the start point plus every LMO output,
-    deduplicated; the current iterates are convex combinations of them.
+    ``seen_p``/``seen_q`` are ``(n, d)`` arrays of the distinct rows among
+    the start point and every LMO output, in the order first seen; the
+    current iterates are convex combinations of them.
     ``lmo_calls`` counts every oracle call charged to the run, including
     the two initialization calls when no start was supplied.
     """
@@ -89,8 +90,8 @@ class AlmState:
     x: Array
     y: Array
     t: int
-    seen_p: list[Array]
-    seen_q: list[Array]
+    seen_p: Array
+    seen_q: Array
     lmo_calls: int
     comb_x: ConvexCombination
     comb_y: ConvexCombination
@@ -158,15 +159,11 @@ def default_start(set_p: OracleSet, set_q: OracleSet) -> tuple[Array, Array]:
     return set_p.lmo(ones), set_q.lmo(-ones)
 
 
-def _add_seen(seen: list[Array], vertex: Array) -> bool:
-    for s in seen:
-        if float(np.linalg.norm(vertex - s)) <= DEDUP_TOL:
-            return False
-    seen.append(np.array(vertex, dtype=float))
-    return True
+def _add_seen(seen: VertexSet, vertex: Array) -> bool:
+    return seen.add(vertex)
 
 
-Seen = tuple[list[Array], list[Array]]
+Seen = tuple[VertexSet, VertexSet]
 
 
 def _begin(set_p, set_q, rule, max_iters, start):
@@ -190,7 +187,8 @@ def _begin(set_p, set_q, rule, max_iters, start):
         calls = 0
     trace = IterateTrace(rule=rule, k=2)
     trace.combinations = [ConvexCombination(x), ConvexCombination(y)]
-    return distance_problem(set_p, set_q), trace, [x, y], ([x.copy()], [y.copy()]), calls
+    seen = (VertexSet(x[None]), VertexSet(y[None]))
+    return distance_problem(set_p, set_q), trace, [x, y], seen, calls
 
 
 def _sweep(problem: BlockProblem, trace: IterateTrace, points: list[Array], t: int,
@@ -223,8 +221,8 @@ def _finish(problem: BlockProblem, trace: IterateTrace, points: list[Array], see
         x=points[0],
         y=points[1],
         t=len(trace.rows) // 2,
-        seen_p=seen[0],
-        seen_q=seen[1],
+        seen_p=seen[0].rows,
+        seen_q=seen[1].rows,
         lmo_calls=calls,
         comb_x=trace.combinations[0],
         comb_y=trace.combinations[1],
@@ -408,19 +406,17 @@ def adaptive_run(
             if margin > certificate_tolerance(float(np.linalg.norm(g)), d_p, d_q):
                 certificate = Disjoint(g.copy(), margin, calls, t + 1)
                 break
-            if len(seen[0]) + len(seen[1]) != lp_support_size:
-                lp_support_size = len(seen[0]) + len(seen[1])
+            if len(seen[0].rows) + len(seen[1].rows) != lp_support_size:
+                lp_support_size = len(seen[0].rows) + len(seen[1].rows)
                 calls += 1
-                combo = solve_feasibility(
-                    FeasibilityProgram(np.array(seen[0]), np.array(seen[1]))
-                )
+                combo = solve_feasibility(FeasibilityProgram(seen[0].rows, seen[1].rows))
                 if combo is not None:
                     certificate = IntersectionPoint(
                         point=combo.point,
                         weights_p=combo.lam,
-                        support_p=[s.copy() for s in seen[0]],
+                        support_p=[s.copy() for s in seen[0].rows],
                         weights_q=combo.kappa,
-                        support_q=[s.copy() for s in seen[1]],
+                        support_q=[s.copy() for s in seen[1].rows],
                         lmo_calls=calls,
                         iterations=t + 1,
                     )

@@ -182,6 +182,8 @@ def _finish_two_set(result: alm.AlmResult) -> alm.Certificate:
     return alm.Undecided(math.sqrt(min(result.distance_sq)), state.lmo_calls, state.t)
 
 
+# Overflow ends a run in NumericsError (exit 3); numpy's warnings would precede that line.
+@np.errstate(over="ignore", invalid="ignore")
 def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None,
                   out: str | None = None) -> int:
     """Execute a problem file; writes the trace CSV and certificate JSON."""
@@ -232,7 +234,8 @@ def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None
         cert = _finish_two_set(result)
 
     cert_path = _certificate_path(spec.output)
-    cert_path.write_text(json.dumps(certificate_json(cert), sort_keys=True, indent=2) + "\n")
+    cert_json = json.dumps(certificate_json(cert), sort_keys=True, indent=2, allow_nan=False)
+    cert_path.write_text(cert_json + "\n")
     print(f"{cert.verdict}: trace -> {out_path}, certificate -> {cert_path}")
     return {"intersection": EXIT_INTERSECTION, "disjoint": EXIT_DISJOINT}.get(
         cert.verdict, EXIT_UNDECIDED

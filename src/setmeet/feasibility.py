@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import DEDUP_TOL, Array, DimensionMismatch, GeometryError, VPolytope
+from .oracles import Array, DimensionMismatch, GeometryError, VPolytope, distinct_rows
 
 # Phase-1 objective at or below this value counts as feasible.
 FEASIBLE_TOL = 1e-9
@@ -36,14 +36,6 @@ def _points_matrix(points, name: str) -> Array:
     return a
 
 
-def _dedup(points: Array) -> Array:
-    kept: list[Array] = []
-    for row in points:
-        if all(float(np.linalg.norm(row - u)) > DEDUP_TOL for u in kept):
-            kept.append(row)
-    return np.array(kept, dtype=float)
-
-
 @dataclass(frozen=True)
 class FeasibilityProgram:
     """Candidate vertex lists for the two hulls, deduplicated."""
@@ -52,8 +44,8 @@ class FeasibilityProgram:
     v_points: Array
 
     def __post_init__(self):
-        u = _dedup(_points_matrix(self.u_points, "u_points"))
-        v = _dedup(_points_matrix(self.v_points, "v_points"))
+        u = distinct_rows(_points_matrix(self.u_points, "u_points"))
+        v = distinct_rows(_points_matrix(self.v_points, "v_points"))
         if u.shape[1] != v.shape[1]:
             raise DimensionMismatch(
                 f"point lists have dimensions {u.shape[1]} and {v.shape[1]}"

@@ -34,8 +34,8 @@ Array = np.ndarray
 # count as tied and fall through to the deterministic tie-break.
 TIE_REL_TOL = 1e-12
 
-# Euclidean tolerance for deduplicating vertex lists; prevents
-# degenerate duplicate columns in downstream feasibility programs.
+# Points at most this far apart are one vertex; VertexSet is its only user.
+# Keeps degenerate duplicate columns out of downstream feasibility programs.
 DEDUP_TOL = 1e-9
 
 
@@ -61,6 +61,32 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> Array:
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"{name} has dimension {v.size}, expected {dim}")
     return v
+
+
+class VertexSet:
+    """Distinct points in insertion order, as the ``(n, d)`` array ``rows``.
+
+    ``add`` drops a point that ``np.linalg.norm`` puts within DEDUP_TOL of a
+    kept row; a row-sum scan, widened for its rounding, finds the candidates.
+    """
+
+    def __init__(self, points: Array):
+        self.rows = np.empty((0, points.shape[1]))
+        for v in points:
+            self.add(v)
+
+    def add(self, v: Array) -> bool:
+        """Keep ``v`` unless it duplicates a kept row; True if kept."""
+        near = self.rows[((self.rows - v) ** 2).sum(axis=1) <= (1.000001 * DEDUP_TOL) ** 2]
+        if any(float(np.linalg.norm(v - row)) <= DEDUP_TOL for row in near):
+            return False
+        self.rows = np.vstack([self.rows, v])
+        return True
+
+
+def distinct_rows(points: Array) -> Array:
+    """The rows of a 2-D array that a VertexSet keeps, in order."""
+    return VertexSet(points).rows
 
 
 def _frozen(x, name: str) -> Array:
@@ -291,11 +317,7 @@ class VPolytope:
             raise GeometryError("VPolytope needs a nonempty 2-D vertex array")
         if not np.all(np.isfinite(v)):
             raise GeometryError("VPolytope vertices contain non-finite entries")
-        kept: list[Array] = []
-        for row in v:
-            if all(float(np.linalg.norm(row - u)) > DEDUP_TOL for u in kept):
-                kept.append(row)
-        arr = np.array(kept, dtype=float)
+        arr = distinct_rows(v)
         arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
 

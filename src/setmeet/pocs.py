@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cbcg import NumericsError
 from .oracles import (
     Array,
     DimensionMismatch,
@@ -59,7 +60,8 @@ def pocs_run(
     ``d_known`` is the known offset between closest points, oriented
     from the P-side closest point towards Q (so the limits satisfy
     y - x = d_known); it defaults to zero, the intersecting case.
-    Stops early once consecutive y iterates agree to within 1e-13.
+    Stops early once consecutive y iterates agree to within 1e-13, and
+    raises NumericsError when a residual or distance is not finite.
     """
     if set_p.dim != set_q.dim:
         raise DimensionMismatch(f"sets live in dimensions {set_p.dim} and {set_q.dim}")
@@ -84,7 +86,10 @@ def pocs_run(
             + np.dot(x_new - y_new + d_hat, x_new - y_new + d_hat)
         )
         diff = x_new - y_new
-        trace.rows.append(PocsRow(t, x_new, y_new, residual, float(np.dot(diff, diff))))
+        distance_sq = float(np.dot(diff, diff))
+        if not (np.isfinite(residual) and np.isfinite(distance_sq)):
+            raise NumericsError(f"non-finite residual or distance at iteration {t}")
+        trace.rows.append(PocsRow(t, x_new, y_new, residual, distance_sq))
         if float(np.linalg.norm(y_new - y)) <= CONVERGED_TOL:
             trace.converged = True
             y = y_new

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from setmeet import Ball, Box, L1Ball, Simplex, StepRule, VPolytope
+from setmeet.oracles import DEDUP_TOL
 
 
 def support_min(geom, c):
@@ -102,3 +103,15 @@ def random_feasibility_program(rng):
     if rng.uniform() < 0.5:
         v[:, 0] += 2.5  # force separation along the first axis
     return u, v
+
+
+def brute_distinct_rows(points):
+    """The scalar dedup loop: kept rows in order, and per row whether it was kept."""
+    kept = []
+    flags = []
+    for row in np.asarray(points, dtype=float):
+        keep = all(float(np.linalg.norm(row - u)) > DEDUP_TOL for u in kept)
+        if keep:
+            kept.append(row)
+        flags.append(keep)
+    return np.array(kept, dtype=float), flags

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ def test_numerics_error_exits_three(tmp_path, capsys, algorithm):
     with np.errstate(over="ignore"):
         assert main(["solve", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: non-finite")
+
+
+@pytest.mark.parametrize("algorithm", ["alm", "alm-adaptive", "cbcg", "pocs"])
+def test_overflow_prints_only_the_error_line(tmp_path, capsys, algorithm):
+    # No numpy overflow warning ahead of the error, and pocs does not report
+    # the overflowed run as undecided.
+    path = write_spec(tmp_path, algorithm=algorithm, max_iters=10, **BIG_BALLS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite ") and err.count("\n") == 1, err
 
 
 def test_lp_runtime_error_exits_three(tmp_path, capsys, monkeypatch):

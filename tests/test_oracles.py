@@ -14,7 +14,9 @@ from setmeet import (
     VPolytope,
     support_gap,
 )
-from helpers import brute_support_gap, brute_vertex_argmin, support_min
+from setmeet.feasibility import FeasibilityProgram
+from setmeet.oracles import DEDUP_TOL, VertexSet, distinct_rows
+from helpers import brute_distinct_rows, brute_support_gap, brute_vertex_argmin, support_min
 
 ALL_GEOMETRIES = [
     Box([0.0, -1.0], [1.5, 2.0]),
@@ -249,3 +251,47 @@ class TestConstruction:
         box = Box([0, 0], [1, 1])
         with pytest.raises(ValueError):
             box.lower[0] = 5.0
+
+
+def _dedup_clouds():
+    """Point lists around the DEDUP_TOL boundary, at every scale."""
+    rng = np.random.default_rng(20)
+    clouds = [np.array([[0, 0], [0, 0], [1e-12, 0], [1, 1]], dtype=float)]
+    # Pairs planted ulps either side of DEDUP_TOL: along an axis from the
+    # origin, along a random direction, and from a random base point.
+    for k in range(-8, 9):
+        r = DEDUP_TOL * (1 + k * 2.0 ** -52)
+        for _ in range(40):
+            d = int(rng.integers(1, 12))
+            u = rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            axis = np.eye(d)[int(rng.integers(d))]
+            base = rng.uniform(-1e-8, 1e-8, size=d)
+            clouds.append(np.array([np.zeros(d), r * axis, np.zeros(d), base, base + r * u, r * u]))
+    # Random clouds with near-duplicates within a few DEDUP_TOL, at scales up
+    # to where squared distances between distinct points overflow.
+    for scale in (1e-3, 1.0, 1e100, 1e154, 1e155, 1e200):
+        for _ in range(40):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            pts = rng.normal(size=(n, d)) * scale
+            idx = rng.integers(0, n, size=n)
+            near = pts[idx] + rng.normal(size=(n, d)) * DEDUP_TOL * rng.uniform(0, 1.5, size=(n, 1))
+            cloud = np.vstack([pts, near, pts[idx[: n // 3]]])
+            clouds.append(cloud[rng.permutation(len(cloud))])
+    return clouds
+
+
+def test_one_dedup_rule_matches_the_scalar_loop():
+    for i, pts in enumerate(_dedup_clouds()):
+        with np.errstate(over="ignore"):  # squared distances overflow at 1e155 and up
+            expected, flags = brute_distinct_rows(pts)
+            kept = VertexSet(pts[:1])
+            assert [True] + [kept.add(row) for row in pts[1:]] == flags, i
+            for got in (
+                kept.rows,
+                distinct_rows(pts),
+                VPolytope(pts).vertices,
+                FeasibilityProgram(pts, pts[:1]).u_points,
+            ):
+                assert got.shape == expected.shape, i
+                assert got.tobytes() == expected.tobytes(), i
