@@ -52,6 +52,7 @@ from .cbcg import (
     ConvexCombination,
     IterateTrace,
     StepRule,
+    _check_start,
     block_step,
     distance_problem,
 )
@@ -61,8 +62,6 @@ from .oracles import (
     DimensionMismatch,
     GeometryError,
     OracleSet,
-    VertexSet,
-    as_vector,
     support_gap,
     supports_projection,
 )
@@ -78,9 +77,9 @@ CONTACT_TOL = 1e-12
 class AlmState:
     """Solver state after ``t`` completed iterations.
 
-    ``seen_p``/``seen_q`` are ``(n, d)`` arrays of the distinct rows among
-    the start point and every LMO output, in the order first seen; the
-    current iterates are convex combinations of them.
+    ``seen_p``/``seen_q`` are ``comb_x.support``/``comb_y.support``: the
+    distinct rows among the start point and every LMO output, checkpoint
+    probes included, in the order first seen (see ``ConvexCombination``).
     ``lmo_calls`` counts every oracle call charged to the run, including
     the two initialization calls when no start was supplied.
     """
@@ -116,7 +115,11 @@ class AlmResult:
 
 @dataclass(frozen=True)
 class IntersectionPoint:
-    """A common point, witnessed as convex combinations on both sides."""
+    """A common point, witnessed as convex combinations on both sides.
+
+    On contact the supports are the run's stores, zero-weight rows
+    included, and each combination lies within DEDUP_TOL of ``point``.
+    """
 
     point: Array
     weights_p: Array
@@ -159,40 +162,31 @@ def default_start(set_p: OracleSet, set_q: OracleSet) -> tuple[Array, Array]:
     return set_p.lmo(ones), set_q.lmo(-ones)
 
 
-def _add_seen(seen: VertexSet, vertex: Array) -> bool:
-    return seen.add(vertex)
-
-
-Seen = tuple[VertexSet, VertexSet]
+def _add_seen(comb: ConvexCombination, vertex: Array) -> bool:
+    """Offer a checkpoint probe to its block's store at weight 0; True if new."""
+    return comb.add(vertex)
 
 
 def _begin(set_p, set_q, rule, max_iters, start):
-    """Validate a run; return its problem, empty trace, points, seen sets and start calls."""
+    """Validate a run; return its problem, empty trace, points and start calls."""
     if set_p.dim != set_q.dim:
         raise DimensionMismatch(
             f"sets live in dimensions {set_p.dim} and {set_q.dim}"
         )
     if max_iters < 1:
         raise GeometryError("max_iters must be >= 1")
+    problem = distance_problem(set_p, set_q)
     if start is None:
-        x, y = default_start(set_p, set_q)
-        calls = 2
+        points, calls = list(default_start(set_p, set_q)), 2
     else:
-        x = as_vector(start[0], set_p.dim, "start x").copy()
-        y = as_vector(start[1], set_q.dim, "start y").copy()
-        if not set_p.contains(x, tol=1e-8):
-            raise GeometryError("start x is not in the first set")
-        if not set_q.contains(y, tol=1e-8):
-            raise GeometryError("start y is not in the second set")
-        calls = 0
+        points, calls = _check_start(problem, start), 0
     trace = IterateTrace(rule=rule, k=2)
-    trace.combinations = [ConvexCombination(x), ConvexCombination(y)]
-    seen = (VertexSet(x[None]), VertexSet(y[None]))
-    return distance_problem(set_p, set_q), trace, [x, y], seen, calls
+    trace.combinations = [ConvexCombination(p) for p in points]
+    return problem, trace, points, calls
 
 
 def _sweep(problem: BlockProblem, trace: IterateTrace, points: list[Array], t: int,
-           objective: float, calls: int, seen: Seen, u: Array | None = None) -> int:
+           objective: float, calls: int, u: Array | None = None) -> int:
     """Iteration t: step x, then y against the new x; returns the LMO count.
 
     Both steps are the engine's block steps on the distance objective,
@@ -202,15 +196,13 @@ def _sweep(problem: BlockProblem, trace: IterateTrace, points: list[Array], t: i
     """
     if u is None:
         calls += 1
-    u = block_step(problem, trace, points, 2 * t, objective, calls, vertex=u)
-    _add_seen(seen[0], u)
+    block_step(problem, trace, points, 2 * t, objective, calls, vertex=u)
     calls += 1
-    v = block_step(problem, trace, points, 2 * t + 1, problem.value(points), calls)
-    _add_seen(seen[1], v)
+    block_step(problem, trace, points, 2 * t + 1, problem.value(points), calls)
     return calls
 
 
-def _finish(problem: BlockProblem, trace: IterateTrace, points: list[Array], seen: Seen,
+def _finish(problem: BlockProblem, trace: IterateTrace, points: list[Array],
             calls: int) -> AlmState:
     """Close the trace at ``points`` and build the state; t counts completed sweeps."""
     trace.final_points = points
@@ -221,8 +213,8 @@ def _finish(problem: BlockProblem, trace: IterateTrace, points: list[Array], see
         x=points[0],
         y=points[1],
         t=len(trace.rows) // 2,
-        seen_p=seen[0].rows,
-        seen_q=seen[1].rows,
+        seen_p=trace.combinations[0].rows,
+        seen_q=trace.combinations[1].rows,
         lmo_calls=calls,
         comb_x=trace.combinations[0],
         comb_y=trace.combinations[1],
@@ -249,7 +241,7 @@ def alm_run(
     and midpoint probes are instrumentation and are not charged to the
     LMO counters.
     """
-    problem, trace, points, seen, init_calls = _begin(set_p, set_q, rule, max_iters, start)
+    problem, trace, points, init_calls = _begin(set_p, set_q, rule, max_iters, start)
     if keep_points:
         trace.points = [[p.copy() for p in points]]
 
@@ -281,13 +273,13 @@ def alm_run(
         if stop_on_contact and math.sqrt(dsq) <= CONTACT_TOL:
             contact = True
             break
-        calls = _sweep(problem, trace, points, t, dsq, calls, seen)
+        calls = _sweep(problem, trace, points, t, dsq, calls)
         if keep_points:
             trace.points.append([p.copy() for p in points])
 
     if not contact:
         observe()
-    state = _finish(problem, trace, points, seen, init_calls + calls)
+    state = _finish(problem, trace, points, init_calls + calls)
     return AlmResult(trace, state, distance_sq, margin, midpoint, contact)
 
 
@@ -375,7 +367,8 @@ def adaptive_run(
     (charged as one LMO call).  A feasible LP yields an exact common
     point.  Runs on any geometry; the LP route is exact for polytopes.
     """
-    problem, trace, points, seen, calls = _begin(set_p, set_q, rule, max_iters, start)
+    problem, trace, points, calls = _begin(set_p, set_q, rule, max_iters, start)
+    comb_x, comb_y = trace.combinations
     d_p = set_p.diameter()
     d_q = set_q.diameter()
 
@@ -388,9 +381,9 @@ def adaptive_run(
         dist = float(np.linalg.norm(points[0] - points[1]))
         best_distance = min(best_distance, dist)
         if dist <= CONTACT_TOL:
-            certificate = _contact_certificate(*trace.combinations, points[0], calls, t)
+            certificate = _contact_certificate(comb_x, comb_y, points[0], calls, t)
             break
-        calls = _sweep(problem, trace, points, t, dist * dist, calls, seen, cached_u)
+        calls = _sweep(problem, trace, points, t, dist * dist, calls, cached_u)
         cached_u = None
 
         if t >= 1 and t & (t - 1) == 0:
@@ -398,31 +391,31 @@ def adaptive_run(
             a = set_p.lmo(g)
             b = set_q.lmo(-g)
             calls += 2
-            _add_seen(seen[0], a)
-            _add_seen(seen[1], b)
+            _add_seen(comb_x, a)
+            _add_seen(comb_y, b)
             # The next iteration's first LMO uses this same direction.
             cached_u = a
             margin = float(np.dot(g, a) - np.dot(g, b))
             if margin > certificate_tolerance(float(np.linalg.norm(g)), d_p, d_q):
                 certificate = Disjoint(g.copy(), margin, calls, t + 1)
                 break
-            if len(seen[0].rows) + len(seen[1].rows) != lp_support_size:
-                lp_support_size = len(seen[0].rows) + len(seen[1].rows)
+            if len(comb_x.rows) + len(comb_y.rows) != lp_support_size:
+                lp_support_size = len(comb_x.rows) + len(comb_y.rows)
                 calls += 1
-                combo = solve_feasibility(FeasibilityProgram(seen[0].rows, seen[1].rows))
+                combo = solve_feasibility(FeasibilityProgram(comb_x.rows, comb_y.rows))
                 if combo is not None:
                     certificate = IntersectionPoint(
                         point=combo.point,
                         weights_p=combo.lam,
-                        support_p=[s.copy() for s in seen[0].rows],
+                        support_p=[s.copy() for s in comb_x.rows],
                         weights_q=combo.kappa,
-                        support_q=[s.copy() for s in seen[1].rows],
+                        support_q=[s.copy() for s in comb_y.rows],
                         lmo_calls=calls,
                         iterations=t + 1,
                     )
                     break
 
-    state = _finish(problem, trace, points, seen, calls)
+    state = _finish(problem, trace, points, calls)
     best_distance = min(best_distance, float(np.linalg.norm(points[0] - points[1])))
     if certificate is None:
         certificate = Undecided(best_distance, calls, max_iters)

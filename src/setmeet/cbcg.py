@@ -10,7 +10,7 @@ oracles.  Iteration t updates block i = t mod k:
 with either the agnostic step gamma_t = 2 / (floor(t/k) + 2) or the
 short step minimizing the per-block smoothness upper bound, clamped to
 [0, 1].  Each iterate stays a convex combination of set points, tracked
-exactly as barycentric weights.
+as barycentric weights over the distinct points the LMO returned.
 
 ``check_rate_bounds`` compares a recorded trace against the sweep-level
 convergence bounds
@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracles import Array, GeometryError, OracleSet, as_vector
+from .oracles import Array, GeometryError, OracleSet, VertexSet, as_vector
 
 # Short-step displacements below this are treated as "already at the
 # block's LMO point": step zero instead of dividing by ~0.
@@ -106,30 +106,35 @@ def distance_problem(set_p: OracleSet, set_q: OracleSet, *, lipschitz: float = 4
     )
 
 
-class ConvexCombination:
-    """Barycentric bookkeeping: point = sum_j weights[j] * support[j]."""
+class ConvexCombination(VertexSet):
+    """Barycentric bookkeeping: point ~ weights @ support, support = rows.
+
+    Every distinct point offered is a row, a point offered at gamma = 0 at
+    weight 0; a step's weight goes to the row its vertex duplicates, so
+    ``combination()`` lies within DEDUP_TOL of the iterate.
+    """
 
     def __init__(self, start: Array):
-        self.support: list[Array] = [np.array(start, dtype=float)]
-        self.weights: list[float] = [1.0]
-        self._index: dict[bytes, int] = {self.support[0].tobytes(): 0}
+        self.rows = np.array(start, dtype=float)[None]
+        self.weights = np.ones(1)
+
+    @property
+    def support(self) -> Array:
+        return self.rows
+
+    def index(self, v: Array) -> int:
+        j = super().index(v)
+        if j == self.weights.size:
+            self.weights = np.append(self.weights, 0.0)
+        return j
 
     def step(self, vertex: Array, gamma: float) -> None:
-        if gamma == 0.0:
-            return
-        for j in range(len(self.weights)):
-            self.weights[j] *= 1.0 - gamma
-        key = vertex.tobytes()
-        j = self._index.get(key)
-        if j is None:
-            self._index[key] = len(self.support)
-            self.support.append(np.array(vertex, dtype=float))
-            self.weights.append(gamma)
-        else:
-            self.weights[j] += gamma
+        self.weights *= 1.0 - gamma
+        j = self.index(vertex)
+        self.weights[j] += gamma
 
     def combination(self) -> Array:
-        return np.array(self.support).T @ np.array(self.weights)
+        return self.rows.T @ self.weights
 
 
 @dataclass

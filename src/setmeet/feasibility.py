@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import Array, DimensionMismatch, GeometryError, VPolytope, distinct_rows
+from .oracles import (
+    Array, DimensionMismatch, GeometryError, VPolytope, distinct_rows, project_to_simplex,
+)
 
 # Phase-1 objective at or below this value counts as feasible.
 FEASIBLE_TOL = 1e-9
@@ -209,18 +211,6 @@ def _polish(m_rows: Array, ka: int, w: Array) -> Array | None:
     return None
 
 
-def _project_rows_to_simplex(w: Array) -> Array:
-    """Row-wise Euclidean projection onto the unit simplex."""
-    r, k = w.shape
-    u = np.sort(w, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, k + 1)
-    cond = u - css / ks > 0.0
-    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
-    tau = css[np.arange(r), rho] / (rho + 1.0)
-    return np.maximum(w - tau[:, None], 0.0)
-
-
 def hull_distance(
     a_points,
     b_points,
@@ -264,8 +254,8 @@ def hull_distance(
         grad = w @ gram
         new = np.hstack(
             [
-                _project_rows_to_simplex(w[:, :ka] - step * grad[:, :ka]),
-                _project_rows_to_simplex(w[:, ka:] - step * grad[:, ka:]),
+                project_to_simplex(w[:, :ka] - step * grad[:, :ka]),
+                project_to_simplex(w[:, ka:] - step * grad[:, ka:]),
             ]
         )
         move = float(np.abs(new - w).max())

@@ -66,8 +66,8 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> Array:
 class VertexSet:
     """Distinct points in insertion order, as the ``(n, d)`` array ``rows``.
 
-    ``add`` drops a point that ``np.linalg.norm`` puts within DEDUP_TOL of a
-    kept row; a row-sum scan, widened for its rounding, finds the candidates.
+    A point that ``np.linalg.norm`` puts within DEDUP_TOL of a kept row is
+    that row; a row-sum scan, widened for its rounding, finds the candidates.
     """
 
     def __init__(self, points: Array):
@@ -75,13 +75,19 @@ class VertexSet:
         for v in points:
             self.add(v)
 
+    def index(self, v: Array) -> int:
+        """Row of the first kept point that ``v`` duplicates; appends ``v`` if none."""
+        near = np.flatnonzero(((self.rows - v) ** 2).sum(axis=1) <= (1.000001 * DEDUP_TOL) ** 2)
+        for j in near:
+            if float(np.linalg.norm(v - self.rows[j])) <= DEDUP_TOL:
+                return int(j)
+        self.rows = np.vstack([self.rows, v])
+        return len(self.rows) - 1
+
     def add(self, v: Array) -> bool:
         """Keep ``v`` unless it duplicates a kept row; True if kept."""
-        near = self.rows[((self.rows - v) ** 2).sum(axis=1) <= (1.000001 * DEDUP_TOL) ** 2]
-        if any(float(np.linalg.norm(v - row)) <= DEDUP_TOL for row in near):
-            return False
-        self.rows = np.vstack([self.rows, v])
-        return True
+        n = len(self.rows)
+        return self.index(v) == n
 
 
 def distinct_rows(points: Array) -> Array:
@@ -108,17 +114,19 @@ def _tie_argmin(values: Array) -> int:
 
 
 def project_to_simplex(z: Array, scale: float = 1.0) -> Array:
-    """Euclidean projection onto {x >= 0, sum(x) = scale}.
+    """Euclidean projection onto {x >= 0, sum(x) = scale}, along the last axis.
 
-    Sorting-based threshold method: O(n log n) and exact.
+    Sorting-based threshold method: O(n log n) per vector and exact.
     """
     z = np.asarray(z, dtype=float)
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - scale
-    ks = np.arange(1, z.size + 1)
-    rho = int(np.nonzero(u - css / ks > 0.0)[0][-1])
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(z - tau, 0.0)
+    w = z.reshape(-1, z.shape[-1])
+    r, k = w.shape
+    u = np.sort(w, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - scale
+    cond = u - css / np.arange(1, k + 1) > 0.0
+    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
+    tau = css[np.arange(r), rho] / (rho + 1.0)
+    return np.maximum(w - tau[:, None], 0.0).reshape(z.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,9 +349,11 @@ class VPolytope:
 
     def contains(self, x, tol: float = 1e-7) -> bool:
         x = as_vector(x, self.dim, "point")
-        from .feasibility import membership
+        from .feasibility import hull_distance, membership
 
-        return membership(x, self.vertices)
+        return membership(x, self.vertices) or (
+            hull_distance(self.vertices, x[None], check_feasibility=False) <= tol
+        )
 
     def sample(self, rng: np.random.Generator) -> Array:
         weights = rng.dirichlet(np.ones(self.vertices.shape[0]))

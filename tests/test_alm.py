@@ -28,6 +28,7 @@ from setmeet import (
     threshold_exceeded,
 )
 from setmeet.instances import TWO_SET_INSTANCES
+from setmeet.oracles import DEDUP_TOL
 from helpers import brute_support_gap, primal_bound
 
 RULES = [StepRule.AGNOSTIC, StepRule.SHORT_STEP]
@@ -346,3 +347,23 @@ def test_adaptive_run_is_alm_run_plus_checkpoints(inst, rule):
             assert mine.objective == theirs.objective
         else:
             assert mine.objective == pytest.approx(theirs.objective, rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("runner", ["alm_run", "adaptive_run"])
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
+@pytest.mark.parametrize("inst", TWO_SET_INSTANCES, ids=lambda inst: inst.name)
+def test_combination_is_the_seen_store(inst, rule, runner):
+    """Each block keeps one store: its seen rows, weighted to the iterate."""
+    if runner == "alm_run":
+        state = alm_run(inst.set_p, inst.set_q, rule, 300, record_margin=False,
+                        record_midpoint=False).state
+    else:
+        state = adaptive_run(inst.set_p, inst.set_q, rule, 300)[2]
+    for comb, seen, point in ((state.comb_x, state.seen_p, state.x),
+                              (state.comb_y, state.seen_q, state.y)):
+        assert np.array_equal(np.array(comb.support), seen)
+        weights = np.array(comb.weights)
+        assert weights.min() >= 0.0
+        assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
+        miss = float(np.linalg.norm(comb.combination() - point))
+        assert miss <= DEDUP_TOL + 1e-12 * (1.0 + float(np.linalg.norm(point)))

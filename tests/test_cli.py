@@ -1,10 +1,15 @@
+import hashlib
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from setmeet import Ball, Box, L1Ball, Simplex, VPolytope, membership, support_gap
+from setmeet import (
+    Ball, Box, L1Ball, Simplex, VPolytope, membership, support_gap, supports_projection,
+)
 from setmeet.cli import main, parse_problem_spec
 from setmeet.instances import TWO_SET_INSTANCES
 
@@ -274,3 +279,49 @@ def test_cbcg_solve_equals_alm_solve(tmp_path, inst, rule):
         cert = tmp_path / f"{algorithm}.cert.json"
         outputs[algorithm] = (rc, csv.read_bytes(), cert.read_bytes())
     assert outputs["cbcg"] == outputs["alm"]
+
+
+GOLDEN_SOLVE = Path(__file__).with_name("golden_solve.json")
+RULE_NAMES = ("agnostic", "short")
+
+
+def solve_digests(tmp_path, inst, rule) -> dict:
+    """Exit code and sha256 of the trace CSV and certificate JSON per algorithm."""
+    algorithms = ["alm", "alm-adaptive"]
+    if supports_projection(inst.set_p) and supports_projection(inst.set_q):
+        algorithms.append("pocs")
+    out = {}
+    for algorithm in algorithms:
+        csv = tmp_path / f"{algorithm}.csv"
+        path = write_spec(
+            tmp_path, name=f"{algorithm}.json", dimension=inst.set_p.dim,
+            set_p=geometry_json(inst.set_p), set_q=geometry_json(inst.set_q),
+            algorithm=algorithm, step_rule=rule, max_iters=300, output=str(csv),
+        )
+        rc = main(["solve", str(path)])
+        cert = tmp_path / f"{algorithm}.cert.json"
+        out[f"{inst.name}/{rule}/{algorithm}"] = {
+            "exit": rc,
+            "csv": hashlib.sha256(csv.read_bytes()).hexdigest(),
+            "cert": hashlib.sha256(cert.read_bytes()).hexdigest(),
+        }
+    return out
+
+
+@pytest.mark.parametrize("rule", RULE_NAMES)
+@pytest.mark.parametrize("inst", TWO_SET_INSTANCES, ids=lambda inst: inst.name)
+def test_solve_outputs_match_golden(tmp_path, inst, rule):
+    # The behaviour contract: `setmeet solve` writes these bytes and exit codes.
+    golden = json.loads(GOLDEN_SOLVE.read_text())
+    got = solve_digests(tmp_path, inst, rule)
+    assert got == {key: golden[key] for key in got}
+
+
+if __name__ == "__main__":
+    # Re-record after an intended output change: PYTHONPATH=src python tests/test_cli.py
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {}
+        for inst in TWO_SET_INSTANCES:
+            for rule in RULE_NAMES:
+                record.update(solve_digests(Path(tmp), inst, rule))
+    GOLDEN_SOLVE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -253,6 +253,17 @@ class TestConstruction:
             box.lower[0] = 5.0
 
 
+class TestContains:
+    @pytest.mark.parametrize("tol, inside", [(1e-3, True), (1e-5, True), (None, False),
+                                             (1e-9, False)])
+    def test_vpolytope_honours_tol(self, tol, inside):
+        # The point lies 1e-6 below the triangle's bottom edge.
+        tri = VPolytope([[0, 0], [2, 0], [0, 2]])
+        point = [1.0, -1e-6]
+        got = tri.contains(point) if tol is None else tri.contains(point, tol=tol)
+        assert got is inside
+
+
 def _dedup_clouds():
     """Point lists around the DEDUP_TOL boundary, at every scale."""
     rng = np.random.default_rng(20)
