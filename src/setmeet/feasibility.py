@@ -94,42 +94,40 @@ def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
     t[:m, -1] = b
     t[m, :n] = -a.sum(axis=0)
     t[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     for _ in range(max_pivots):
-        enter = -1
-        for j in range(n + m):
-            if t[m, j] < -1e-10:
-                enter = j
-                break
-        if enter < 0:
+        negative = t[m, :n + m] < -1e-10
+        enter = int(negative.argmax())
+        if not negative[enter]:
             break
+        # Ratio test over the rows with a positive entry, scanned in row order:
+        # best_ratio drifts with each tie, so the scan's order matters.
+        col = t[:m, enter]
+        rows = np.flatnonzero(col > 1e-10)
         leave = -1
         best_ratio = math.inf
-        for i in range(m):
-            coef = t[i, enter]
-            if coef > 1e-10:
-                ratio = t[i, -1] / coef
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+        for i, ratio, b_i in zip(rows.tolist(), (t[rows, -1] / col[rows]).tolist(),
+                                 basis[rows].tolist()):
+            if ratio < best_ratio - 1e-12 or (
+                abs(ratio - best_ratio) <= 1e-12 and (leave < 0 or b_i < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
         if leave < 0:
             raise RuntimeError("phase-1 simplex detected an unbounded ray")
         pivot = t[leave, enter]
         t[leave, :] /= pivot
-        for r in range(m + 1):
-            if r != leave and t[r, enter] != 0.0:
-                t[r, :] -= t[r, enter] * t[leave, :]
+        # Rows with a zero entry stay untouched, so their -0.0 entries survive.
+        hit = t[:, enter] != 0.0
+        hit[leave] = False
+        t[hit] -= t[hit, enter][:, None] * t[leave]
         basis[leave] = enter
     else:
         raise RuntimeError("phase-1 simplex exceeded the pivot limit")
 
     z = np.zeros(n + m)
-    for i, bi in enumerate(basis):
-        z[bi] = t[i, -1]
+    z[basis] = t[:m, -1]
     return float(-t[m, -1]), z[:n]
 
 

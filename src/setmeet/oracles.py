@@ -37,6 +37,8 @@ TIE_REL_TOL = 1e-12
 # Points at most this far apart are one vertex; VertexSet is its only user.
 # Keeps degenerate duplicate columns out of downstream feasibility programs.
 DEDUP_TOL = 1e-9
+# Row-sum screen radius for DEDUP_TOL, widened for the sum's rounding.
+_NEAR_SQ = (1.000001 * DEDUP_TOL) ** 2
 
 
 class GeometryError(ValueError):
@@ -71,13 +73,26 @@ class VertexSet:
     """
 
     def __init__(self, points: Array):
-        self.rows = np.empty((0, points.shape[1]))
-        for v in points:
-            self.add(v)
+        # One blockwise row-sum scan marks the rows with a near earlier row;
+        # only those get the exact test, against the near rows kept so far.
+        n, d = points.shape
+        keep = np.ones(n, dtype=bool)
+        block = max(1, 2**20 // max(1, n * d))
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            sq = ((points[None, :hi] - points[lo:hi, None]) ** 2).sum(axis=2)
+            near = (sq <= _NEAR_SQ) & (np.arange(hi) < np.arange(lo, hi)[:, None])
+            for i in np.flatnonzero(near.any(axis=1)):
+                earlier = np.flatnonzero(near[i] & keep[:hi])
+                v = points[lo + i]
+                keep[lo + i] = all(
+                    float(np.linalg.norm(v - points[j])) > DEDUP_TOL for j in earlier
+                )
+        self.rows = points[keep]
 
     def index(self, v: Array) -> int:
         """Row of the first kept point that ``v`` duplicates; appends ``v`` if none."""
-        near = np.flatnonzero(((self.rows - v) ** 2).sum(axis=1) <= (1.000001 * DEDUP_TOL) ** 2)
+        near = np.flatnonzero(((self.rows - v) ** 2).sum(axis=1) <= _NEAR_SQ)
         for j in near:
             if float(np.linalg.norm(v - self.rows[j])) <= DEDUP_TOL:
                 return int(j)
@@ -344,8 +359,35 @@ class VPolytope:
         )
 
     def diameter(self) -> float:
-        diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(axis=2).max()))
+        """The largest vertex distance, bit for bit as the full pairwise scan
+        ``sqrt(max_ij ((v_i - v_j) ** 2).sum())`` rounds it, in O(m^2 + m d) memory.
+
+        A Gram screen picks the candidate pairs. The vertices are centered on
+        the first one, so no centered norm exceeds the diameter, and scaled by
+        the power of two that puts the largest coordinate in [1/2, 1), so no
+        screen square overflows or underflows. One matmul gives
+        ``sq_i + sq_j - 2 c_i.c_j``. Its rounding, the centering's and the
+        scan's own stay below ``12 (d + 4) 2**-53 R2``, R2 the largest
+        ``sq_i``, plus ``(d + 2) 2**-1074`` (scaled) where the scan's squares
+        are subnormal. The slack is ``2**-44 (d + 4) R2`` plus that subnormal
+        term. Every pair within the slack of the screen's maximum is recomputed
+        with the scan's expression on the unscaled vertices, so the result is
+        the scan's: ``inf`` where its squares overflow, ``0.0`` where they
+        underflow.
+        """
+        v = self.vertices
+        c = v - v[0]
+        if not np.all(np.isfinite(c)):
+            return math.inf  # some v_i - v_0 overflows, and so does the scan
+        e = int(np.frexp(np.abs(c).max())[1])
+        c = np.ldexp(c, -e)
+        sq = (c * c).sum(axis=1)
+        screen = sq[:, None] + sq[None, :] - 2.0 * (c @ c.T)
+        d = v.shape[1]
+        # The subnormal term is capped where it already keeps every pair.
+        slack = math.ldexp(d + 4, -44) * float(sq.max()) + math.ldexp(d + 2, min(-1074 - 2 * e, 3))
+        i, j = np.nonzero(screen >= screen.max() - slack)
+        return float(np.sqrt(((v[i] - v[j]) ** 2).sum(axis=1).max()))
 
     def contains(self, x, tol: float = 1e-7) -> bool:
         x = as_vector(x, self.dim, "point")

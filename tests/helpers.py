@@ -8,6 +8,8 @@ differences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from setmeet import Ball, Box, L1Ball, Simplex, StepRule, VPolytope
@@ -115,3 +117,63 @@ def brute_distinct_rows(points):
             kept.append(row)
         flags.append(keep)
     return np.array(kept, dtype=float), flags
+
+
+def brute_diameter(vertices):
+    """The full pairwise scan: an (m, m, d) difference tensor and its largest row sum."""
+    diffs = vertices[:, None, :] - vertices[None, :, :]
+    return float(np.sqrt((diffs ** 2).sum(axis=2).max()))
+
+
+def brute_phase_one_simplex(a_eq, b_eq, *, max_pivots=100_000):
+    """The scalar phase-1 simplex: Bland's rule with one Python loop per pivot step."""
+    a = np.array(a_eq, dtype=float)
+    b = np.array(b_eq, dtype=float)
+    m, n = a.shape
+    neg = b < 0.0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+
+    t = np.zeros((m + 1, n + m + 1))
+    t[:m, :n] = a
+    t[:m, n:n + m] = np.eye(m)
+    t[:m, -1] = b
+    t[m, :n] = -a.sum(axis=0)
+    t[m, -1] = -b.sum()
+    basis = list(range(n, n + m))
+
+    for _ in range(max_pivots):
+        enter = -1
+        for j in range(n + m):
+            if t[m, j] < -1e-10:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio = math.inf
+        for i in range(m):
+            coef = t[i, enter]
+            if coef > 1e-10:
+                ratio = t[i, -1] / coef
+                if ratio < best_ratio - 1e-12 or (
+                    abs(ratio - best_ratio) <= 1e-12
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise RuntimeError("phase-1 simplex detected an unbounded ray")
+        pivot = t[leave, enter]
+        t[leave, :] /= pivot
+        for r in range(m + 1):
+            if r != leave and t[r, enter] != 0.0:
+                t[r, :] -= t[r, enter] * t[leave, :]
+        basis[leave] = enter
+    else:
+        raise RuntimeError("phase-1 simplex exceeded the pivot limit")
+
+    z = np.zeros(n + m)
+    for i, bi in enumerate(basis):
+        z[bi] = t[i, -1]
+    return float(-t[m, -1]), z[:n]

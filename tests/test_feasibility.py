@@ -14,7 +14,7 @@ from setmeet import (
     phase_one_simplex,
     solve_feasibility,
 )
-from helpers import random_feasibility_program
+from helpers import brute_phase_one_simplex, random_feasibility_program
 
 TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
 SEGMENT = np.array([[1.0, 1.0], [3.0, 1.0]])
@@ -56,6 +56,67 @@ class TestSolveFeasibility:
         assert obj == pytest.approx(0.0, abs=1e-9)
         obj, _ = phase_one_simplex(np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
         assert obj > 1e-9
+
+
+def _phase_one_programs():
+    """Seeded phase-1 inputs: feasible, infeasible and degenerate."""
+    rng = np.random.default_rng(8)
+    programs = []
+    for k in range(120):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 16))
+        if k % 2:
+            # Small integers: many exact ties in the ratio test.
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        else:
+            a = rng.normal(size=(m, n))
+        z = rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) < 0.5)
+        feasible = a @ z
+        programs += [
+            (a, feasible),
+            (a, rng.normal(size=m)),
+            (np.hstack([a, a[:, rng.integers(0, n, size=n)]]), feasible),
+            (a, np.zeros(m)),
+            (a, np.where(rng.uniform(size=m) < 0.5, 0.0, -np.abs(feasible))),
+            # Signed zeros: a row update by a zero multiple would flip -0.0.
+            (rng.choice([-1.0, -0.0, 0.0, 1.0], size=(m, n)), rng.choice([-0.0, 0.0, 1.0], size=m)),
+        ]
+    # Hull-intersection programs as solve_feasibility builds them.
+    for _ in range(60):
+        u, v = random_feasibility_program(rng)
+        a = np.vstack([np.hstack([u.T, -v.T]),
+                       np.hstack([np.ones(len(u)), np.zeros(len(v))]),
+                       np.hstack([np.zeros(len(u)), np.ones(len(v))])])
+        programs.append((a, np.r_[np.zeros(u.shape[1]), 1.0, 1.0]))
+    return programs
+
+
+def _phase_one_outcome(solver, a, b, **kw):
+    try:
+        objective, z = solver(a, b, **kw)
+    except RuntimeError as exc:
+        return str(exc)
+    return np.float64(objective).tobytes() + z.tobytes()
+
+
+def test_phase_one_matches_the_scalar_pivots_bitwise():
+    for i, (a, b) in enumerate(_phase_one_programs()):
+        expected = _phase_one_outcome(brute_phase_one_simplex, a, b)
+        assert isinstance(expected, bytes), i
+        assert _phase_one_outcome(phase_one_simplex, a, b) == expected, i
+
+
+def test_phase_one_pivot_limit_matches_the_scalar_pivots():
+    for i, (a, b) in enumerate(_phase_one_programs()[:40]):
+        for limit in range(12):
+            expected = _phase_one_outcome(brute_phase_one_simplex, a, b, max_pivots=limit)
+            got = _phase_one_outcome(phase_one_simplex, a, b, max_pivots=limit)
+            assert got == expected, (i, limit)
+            if isinstance(expected, bytes):
+                break
+        else:
+            pytest.fail(f"program {i} needs more than 11 pivots")
+    with pytest.raises(RuntimeError, match="phase-1 simplex exceeded the pivot limit"):
+        phase_one_simplex(TRIANGLE.T, np.array([5.0, 5.0]), max_pivots=1)
 
 
 class TestHullDistance:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from setmeet import (
 )
 from setmeet.feasibility import FeasibilityProgram
 from setmeet.oracles import DEDUP_TOL, VertexSet, distinct_rows
-from helpers import brute_distinct_rows, brute_support_gap, brute_vertex_argmin, support_min
+from helpers import (
+    brute_diameter, brute_distinct_rows, brute_support_gap, brute_vertex_argmin, support_min,
+)
 
 ALL_GEOMETRIES = [
     Box([0.0, -1.0], [1.5, 2.0]),
@@ -168,6 +171,63 @@ class TestDiameter:
         )
         assert VPolytope(vertices).diameter() == pytest.approx(brute)
         assert brute == pytest.approx(2 * math.sqrt(2))
+
+    def test_vpolytope_matches_the_pairwise_scan_bitwise(self):
+        rng = np.random.default_rng(31)
+        clouds = []
+        for scale in 10.0 ** np.arange(-200, 201, 25):
+            for offset in (0.0, 1.0, 1e3, 1e8):
+                for m, d in ((1, 3), (2, 2), (17, 5), (60, 12), (150, 30)):
+                    clouds.append((rng.normal(size=(m, d)) + offset) * scale)
+                # Exact ties: every diagonal of a cube, every pair of a cross;
+                # and ties up to rounding: antipodal points on a sphere.
+                for d in (2, 5, 8):
+                    cube = np.array(np.meshgrid(*[[0.0, 1.0]] * d)).reshape(d, -1).T
+                    cross = np.vstack([np.eye(d), -np.eye(d)])
+                    half = rng.normal(size=(40, d))
+                    half /= np.linalg.norm(half, axis=1)[:, None]
+                    sphere = np.vstack([half, -half])
+                    clouds += [(cube + offset) * scale, (cross + offset) * scale,
+                               (sphere + offset) * scale]
+        # A coordinate range beyond the largest float: v_i - v_j overflows.
+        clouds.append(np.array([[1e308, 0.0], [0.0, 1.0], [-1e308, 2.0]]))
+        for i, pts in enumerate(clouds):
+            with np.errstate(over="ignore"):  # squares overflow from about 1e155 up
+                poly = VPolytope(pts)
+                got, expected = poly.diameter(), brute_diameter(poly.vertices)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), i
+
+    def test_screen_holds_where_the_scan_underflows_or_overflows(self):
+        # Vertex arrays taken as given, closer than DEDUP_TOL included: the
+        # scan's squares go subnormal near 1e-160 and overflow near 1e160.
+        rng = np.random.default_rng(32)
+        exponents = list(range(-175, -150, 3)) + [-320, -318, -300, -10, 0, 150, 155, 160, 300, 307]
+        for exponent in exponents:
+            for offset in (0.0, 1.0, 1e8):
+                half = rng.normal(size=(30, 4))
+                half /= np.linalg.norm(half, axis=1)[:, None]
+                for m, d in ((1, 2), (3, 1), (40, 7), (90, 30), (60, 4)):
+                    cloud = np.vstack([half, -half]) if m == 60 else rng.normal(size=(m, d))
+                    with np.errstate(over="ignore"):
+                        pts = (cloud + offset) * 10.0 ** exponent
+                        if not np.all(np.isfinite(pts)):
+                            continue
+                        poly = VPolytope(pts[:1])
+                        object.__setattr__(poly, "vertices", pts)
+                        got, expected = poly.diameter(), brute_diameter(pts)
+                    assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (
+                        exponent, offset, m, d)
+
+    def test_vpolytope_memory_is_quadratic(self):
+        # The full difference tensor at (300, 30) peaks at 44 MB.
+        poly = VPolytope(np.random.default_rng(0).normal(size=(300, 30)))
+        tracemalloc.start()
+        try:
+            poly.diameter()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("geom", ALL_GEOMETRIES, ids=lambda g: type(g).__name__)
     def test_dominates_lmo_spread(self, geom):
