@@ -63,7 +63,6 @@ from .oracles import (
     GeometryError,
     OracleSet,
     support_gap,
-    supports_projection,
 )
 
 RATE_CONSTANT = 1.0 + 2.0 * math.sqrt(2.0)
@@ -94,23 +93,6 @@ class AlmState:
     lmo_calls: int
     comb_x: ConvexCombination
     comb_y: ConvexCombination
-
-
-@dataclass
-class AlmResult:
-    trace: IterateTrace
-    state: AlmState
-    distance_sq: list[float]
-    margin: list[float] | None
-    midpoint_gap: list[float] | None
-    contact: bool
-
-    @property
-    def dual(self) -> list[float] | None:
-        """Dual quantity ||x_t - y_t||^2 - min <x_t - y_t, x - y> per iterate."""
-        if self.margin is None:
-            return None
-        return [d - m for d, m in zip(self.distance_sq, self.margin)]
 
 
 @dataclass(frozen=True)
@@ -154,6 +136,20 @@ class Undecided:
 
 
 Certificate = Union[IntersectionPoint, Disjoint, Undecided]
+
+
+@dataclass
+class AlmResult:
+    """A plain run: its trace, its final state and the verdict it reached."""
+
+    trace: IterateTrace
+    state: AlmState
+    certificate: Certificate
+
+    @property
+    def distance_sq(self) -> list[float]:
+        """||x_t - y_t||^2 at every iterate, the final one included."""
+        return [row.objective for row in self.trace.rows[::2]] + [self.trace.final_objective]
 
 
 def default_start(set_p: OracleSet, set_q: OracleSet) -> tuple[Array, Array]:
@@ -228,48 +224,28 @@ def alm_run(
     max_iters: int,
     start: tuple[Array, Array] | None = None,
     *,
-    record_margin: bool = True,
-    record_midpoint: bool = True,
     keep_points: bool = False,
     stop_on_contact: bool = True,
 ) -> AlmResult:
-    """Run the alternating solver for up to ``max_iters`` iterations.
+    """Run the alternating solver for up to ``max_iters`` iterations, then decide.
 
-    Records ||x_t - y_t||^2 for every iterate, the separation margin
-    (hence the dual quantity) when ``record_margin`` is set, and
-    midpoint distances when both sets support projection.  The margin
-    and midpoint probes are instrumentation and are not charged to the
-    LMO counters.
+    The verdict: contact (stopped on, when ``stop_on_contact`` is set)
+    gives an intersection point over the stores; otherwise the
+    separation test at the final direction (``certify_disjoint_free``,
+    two uncharged LMO calls) gives a disjointness certificate; otherwise
+    the run is undecided at its smallest gap.  With ``keep_points`` the
+    trace holds every iterate, from which per-iterate probes such as
+    ``support_gap`` along x_t - y_t can be read off.
     """
     problem, trace, points, init_calls = _begin(set_p, set_q, rule, max_iters, start)
     if keep_points:
         trace.points = [[p.copy() for p in points]]
 
-    both_project = supports_projection(set_p) and supports_projection(set_q)
-    distance_sq: list[float] = []
-    margin: list[float] | None = [] if record_margin else None
-    midpoint: list[float] | None = [] if both_project and record_midpoint else None
-
-    def observe() -> float:
-        d = points[0] - points[1]
-        dsq = float(np.dot(d, d))
-        distance_sq.append(dsq)
-        if margin is not None:
-            margin.append(support_gap(set_p, set_q, d))
-        if midpoint is not None:
-            z = 0.5 * (points[0] + points[1])
-            midpoint.append(
-                max(
-                    float(np.linalg.norm(z - set_p.project(z))),
-                    float(np.linalg.norm(z - set_q.project(z))),
-                )
-            )
-        return dsq
-
     calls = 0
     contact = False
     for t in range(max_iters):
-        dsq = observe()
+        d = points[0] - points[1]
+        dsq = float(np.dot(d, d))
         if stop_on_contact and math.sqrt(dsq) <= CONTACT_TOL:
             contact = True
             break
@@ -277,10 +253,19 @@ def alm_run(
         if keep_points:
             trace.points.append([p.copy() for p in points])
 
-    if not contact:
-        observe()
     state = _finish(problem, trace, points, init_calls + calls)
-    return AlmResult(trace, state, distance_sq, margin, midpoint, contact)
+    result = AlmResult(trace, state, None)
+    if contact:
+        comb_x, comb_y = trace.combinations
+        result.certificate = intersection_point(
+            state.x, comb_x.weights, comb_x.support, comb_y.weights, comb_y.support,
+            state.lmo_calls, state.t,
+        )
+    else:
+        result.certificate = certify_disjoint_free(state) or Undecided(
+            math.sqrt(min(result.distance_sq)), state.lmo_calls, state.t
+        )
+    return result
 
 
 def dual_quantity(state: AlmState) -> float:
@@ -323,6 +308,12 @@ def certificate_tolerance(gap_norm: float, d_p: float, d_q: float) -> float:
     return 1e-10 * (1.0 + gap_norm * (d_p + d_q))
 
 
+def separates(g: Array, margin: float, d_p: float, d_q: float) -> bool:
+    """The separation test: ``margin`` = min_{x in P, y in Q} <g, x - y> beats
+    rounding noise, so the hyperplane normal to g separates P and Q."""
+    return margin > certificate_tolerance(float(np.linalg.norm(g)), d_p, d_q)
+
+
 def certify_disjoint_free(state: AlmState) -> Disjoint | None:
     """Parameter-free certificate from the current direction x - y.
 
@@ -331,23 +322,26 @@ def certify_disjoint_free(state: AlmState) -> Disjoint | None:
     """
     g = state.x - state.y
     m = support_gap(state.set_p, state.set_q, g)
-    guard = certificate_tolerance(
-        float(np.linalg.norm(g)), state.set_p.diameter(), state.set_q.diameter()
-    )
-    if m > guard:
+    if separates(g, m, state.set_p.diameter(), state.set_q.diameter()):
         return Disjoint(g.copy(), m, state.lmo_calls, state.t)
     return None
 
 
-def _contact_certificate(comb_x, comb_y, x, calls, t) -> IntersectionPoint:
+def intersection_point(point, weights_p, rows_p, weights_q, rows_q,
+                       lmo_calls: int, iterations: int) -> IntersectionPoint:
+    """Every ``IntersectionPoint`` is built here, owning copies of its arrays.
+
+    ``point`` is the witnessed common point; ``weights_p`` over ``rows_p``
+    and ``weights_q`` over ``rows_q`` recombine to it on each side.
+    """
     return IntersectionPoint(
-        point=x.copy(),
-        weights_p=np.array(comb_x.weights),
-        support_p=[s.copy() for s in comb_x.support],
-        weights_q=np.array(comb_y.weights),
-        support_q=[s.copy() for s in comb_y.support],
-        lmo_calls=calls,
-        iterations=t,
+        point=np.array(point, dtype=float),
+        weights_p=np.array(weights_p, dtype=float),
+        support_p=[np.array(s, dtype=float) for s in rows_p],
+        weights_q=np.array(weights_q, dtype=float),
+        support_q=[np.array(s, dtype=float) for s in rows_q],
+        lmo_calls=lmo_calls,
+        iterations=iterations,
     )
 
 
@@ -381,7 +375,10 @@ def adaptive_run(
         dist = float(np.linalg.norm(points[0] - points[1]))
         best_distance = min(best_distance, dist)
         if dist <= CONTACT_TOL:
-            certificate = _contact_certificate(comb_x, comb_y, points[0], calls, t)
+            certificate = intersection_point(
+                points[0], comb_x.weights, comb_x.support, comb_y.weights, comb_y.support,
+                calls, t,
+            )
             break
         calls = _sweep(problem, trace, points, t, dist * dist, calls, cached_u)
         cached_u = None
@@ -396,7 +393,7 @@ def adaptive_run(
             # The next iteration's first LMO uses this same direction.
             cached_u = a
             margin = float(np.dot(g, a) - np.dot(g, b))
-            if margin > certificate_tolerance(float(np.linalg.norm(g)), d_p, d_q):
+            if separates(g, margin, d_p, d_q):
                 certificate = Disjoint(g.copy(), margin, calls, t + 1)
                 break
             if len(comb_x.rows) + len(comb_y.rows) != lp_support_size:
@@ -404,14 +401,9 @@ def adaptive_run(
                 calls += 1
                 combo = solve_feasibility(FeasibilityProgram(comb_x.rows, comb_y.rows))
                 if combo is not None:
-                    certificate = IntersectionPoint(
-                        point=combo.point,
-                        weights_p=combo.lam,
-                        support_p=[s.copy() for s in comb_x.rows],
-                        weights_q=combo.kappa,
-                        support_q=[s.copy() for s in comb_y.rows],
-                        lmo_calls=calls,
-                        iterations=t + 1,
+                    certificate = intersection_point(
+                        combo.point, combo.lam, comb_x.rows, combo.kappa, comb_y.rows,
+                        calls, t + 1,
                     )
                     break
 

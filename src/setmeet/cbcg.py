@@ -152,6 +152,13 @@ class TraceRow:
 
 @dataclass
 class IterateTrace:
+    """A run's rows, final iterate and per-block stores.
+
+    ``points``, kept on request (``keep_points``), lists the iterate at
+    the start and after each update: one entry per sweep in ``alm_run``,
+    one per block step in ``cbcg_run``.
+    """
+
     rule: StepRule
     k: int
     rows: list[TraceRow] = field(default_factory=list)

@@ -41,16 +41,12 @@ from .oracles import (
     support_gap,
     supports_projection,
 )
-from .pocs import check_pocs_rate, pocs_run
+from .pocs import check_pocs_rate, pocs_certificate, pocs_run
 
 EXIT_INTERSECTION = 0
 EXIT_DISJOINT = 1
 EXIT_UNDECIDED = 2
 EXIT_ERROR = 3
-
-# Final-gap tolerance under which a projection run reports its iterate
-# as an intersection point.
-POCS_POINT_TOL = 1e-6
 
 
 class SpecError(ValueError):
@@ -74,6 +70,13 @@ def _field(obj: dict, name: str, where: str):
     return obj[name]
 
 
+def _positive_int(value, name: str) -> int:
+    """A count field: an integer >= 1, and neither a boolean nor a float."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SpecError(f"{name}: must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _geometry(obj, dimension: int, where: str) -> OracleSet:
     if not isinstance(obj, dict):
         raise SpecError(f"{where}: expected an object with a 'kind' tag")
@@ -84,7 +87,8 @@ def _geometry(obj, dimension: int, where: str) -> OracleSet:
         elif kind == "ball":
             geom = Ball(_field(obj, "center", where), _field(obj, "radius", where))
         elif kind == "simplex":
-            geom = Simplex(_field(obj, "dimension", where), obj.get("scale", 1.0))
+            size = _positive_int(_field(obj, "dimension", where), f"{where}.dimension")
+            geom = Simplex(size, obj.get("scale", 1.0))
         elif kind == "l1ball":
             geom = L1Ball(_field(obj, "center", where), _field(obj, "radius", where))
         elif kind == "vpolytope":
@@ -108,9 +112,7 @@ def parse_problem_spec(path) -> ProblemSpec:
     if not isinstance(raw, dict):
         raise SpecError(f"{path}: top level must be an object")
 
-    dimension = _field(raw, "dimension", "spec")
-    if not isinstance(dimension, int) or dimension < 1:
-        raise SpecError("spec.dimension: must be a positive integer")
+    dimension = _positive_int(_field(raw, "dimension", "spec"), "spec.dimension")
     algorithm = raw.get("algorithm", "alm")
     if algorithm not in ("alm", "alm-adaptive", "pocs", "cbcg"):
         raise SpecError(f"spec.algorithm: unknown algorithm {algorithm!r}")
@@ -119,9 +121,10 @@ def parse_problem_spec(path) -> ProblemSpec:
         rule = StepRule(rule_name)
     except ValueError:
         raise SpecError(f"spec.step_rule: must be 'agnostic' or 'short', got {rule_name!r}")
-    max_iters = raw.get("max_iters", 1000)
-    if not isinstance(max_iters, int) or max_iters < 1:
-        raise SpecError("spec.max_iters: must be an integer >= 1")
+    max_iters = _positive_int(raw.get("max_iters", 1000), "spec.max_iters")
+    output = raw.get("output", "trace.csv")
+    if not isinstance(output, str):
+        raise SpecError(f"spec.output: must be a path string, got {output!r}")
 
     return ProblemSpec(
         dimension=dimension,
@@ -130,7 +133,7 @@ def parse_problem_spec(path) -> ProblemSpec:
         algorithm=algorithm,
         step_rule=rule,
         max_iters=max_iters,
-        output=raw.get("output", "trace.csv"),
+        output=output,
     )
 
 
@@ -169,19 +172,6 @@ def _certificate_path(output: str) -> Path:
     return p.with_name(p.stem + ".cert.json")
 
 
-def _finish_two_set(result: alm.AlmResult) -> alm.Certificate:
-    """Post-run certificate for the non-adaptive solvers."""
-    state = result.state
-    if result.contact:
-        return alm._contact_certificate(
-            state.comb_x, state.comb_y, state.x, state.lmo_calls, state.t
-        )
-    cert = alm.certify_disjoint_free(state)
-    if cert is not None:
-        return cert
-    return alm.Undecided(math.sqrt(min(result.distance_sq)), state.lmo_calls, state.t)
-
-
 # Overflow ends a run in NumericsError (exit 3); numpy's warnings would precede that line.
 @np.errstate(over="ignore", invalid="ignore")
 def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None,
@@ -189,7 +179,7 @@ def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None
     """Execute a problem file; writes the trace CSV and certificate JSON."""
     spec = parse_problem_spec(path)
     if max_iters is not None:
-        spec.max_iters = max_iters
+        spec.max_iters = _positive_int(max_iters, "--max-iters")
     if rule is not None:
         spec.step_rule = StepRule(rule)
     if out is not None:
@@ -205,19 +195,7 @@ def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None
         y0 = np.zeros(spec.dimension)
         trace = pocs_run(spec.set_p, spec.set_q, y0, spec.max_iters)
         write_pocs_csv(trace, out_path)
-        last = trace.rows[-1]
-        if math.sqrt(last.distance_sq) <= POCS_POINT_TOL:
-            cert: alm.Certificate = alm.IntersectionPoint(
-                point=last.x,
-                weights_p=np.array([1.0]),
-                support_p=[last.x],
-                weights_q=np.array([1.0]),
-                support_q=[last.y],
-                lmo_calls=0,
-                iterations=last.t,
-            )
-        else:
-            cert = alm.Undecided(math.sqrt(last.distance_sq), 0, last.t)
+        cert: alm.Certificate = pocs_certificate(spec.set_p, spec.set_q, trace)
     elif spec.algorithm == "alm-adaptive":
         cert, trace, _state = alm.adaptive_run(
             spec.set_p, spec.set_q, spec.step_rule, spec.max_iters
@@ -226,12 +204,9 @@ def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None
     else:
         # alm and cbcg name the same run: alm_run is the engine's two-block
         # case on the distance objective.
-        result = alm.alm_run(
-            spec.set_p, spec.set_q, spec.step_rule, spec.max_iters,
-            record_margin=False, record_midpoint=False,
-        )
+        result = alm.alm_run(spec.set_p, spec.set_q, spec.step_rule, spec.max_iters)
         write_trace_csv(result.trace, out_path)
-        cert = _finish_two_set(result)
+        cert = result.certificate
 
     cert_path = _certificate_path(spec.output)
     cert_json = json.dumps(certificate_json(cert), sort_keys=True, indent=2, allow_nan=False)
@@ -271,8 +246,7 @@ def _bench_rates() -> int:
             failures += 0 if report.passed else 1
             print(f"{inst.name:<24} {rule.value:<10} {worst:>14.3e} {status}")
     for inst in instances.TWO_SET_INSTANCES:
-        result = alm.alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 300,
-                             record_margin=False, record_midpoint=False)
+        result = alm.alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 300)
         d_p, d_q = inst.set_p.diameter(), inst.set_q.diameter()
         worst = -math.inf
         for t, dsq in enumerate(result.distance_sq):
@@ -299,14 +273,13 @@ def _bench_certificates() -> int:
         budget_free = budget_param * (d_p + d_q) ** 2 / inst.distance ** 2
         iters = int(budget_free / 2) + 2
         result = alm.alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, iters,
-                             record_midpoint=False)
+                             keep_points=True)
         fire = cert = None
-        for t, dsq in enumerate(result.distance_sq):
+        for t, ((x, y), dsq) in enumerate(zip(result.trace.points, result.distance_sq)):
             if fire is None and alm.threshold_exceeded(dsq, t, d_p, d_q, StepRule.AGNOSTIC):
                 fire = 2 * t
-            m = result.margin[t]
-            guard = alm.certificate_tolerance(math.sqrt(dsq), d_p, d_q)
-            if cert is None and m > guard:
+            g = x - y
+            if cert is None and alm.separates(g, support_gap(inst.set_p, inst.set_q, g), d_p, d_q):
                 cert = 2 * t
         ok = fire is not None and fire <= budget_param and cert is not None and cert <= budget_free
         failures += 0 if ok else 1
@@ -353,8 +326,7 @@ def _bench_pocs_vs_alm() -> int:
         y0 = np.zeros(inst.set_p.dim)
         ptrace = pocs_run(inst.set_p, inst.set_q, y0, 20_000)
         proj = next((2 * r.t for r in ptrace.rows if r.distance_sq <= target), -1)
-        result = alm.alm_run(inst.set_p, inst.set_q, StepRule.SHORT_STEP, 20_000,
-                             record_margin=False, record_midpoint=False)
+        result = alm.alm_run(inst.set_p, inst.set_q, StepRule.SHORT_STEP, 20_000)
         calls = next((2 * t for t, d in enumerate(result.distance_sq) if d <= target), -1)
         if proj < 0 or calls < 0:
             failures += 1

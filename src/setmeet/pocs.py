@@ -14,14 +14,17 @@ and ||x_t - y_t||^2 decreases monotonically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alm import Certificate, Undecided, intersection_point
 from .cbcg import NumericsError
 from .oracles import (
     Array,
     DimensionMismatch,
+    GeometryError,
     OracleSet,
     ProjectionUnsupported,
     as_vector,
@@ -65,6 +68,8 @@ def pocs_run(
     """
     if set_p.dim != set_q.dim:
         raise DimensionMismatch(f"sets live in dimensions {set_p.dim} and {set_q.dim}")
+    if max_iters < 1:
+        raise GeometryError("max_iters must be >= 1")
     for s in (set_p, set_q):
         if not supports_projection(s):
             raise ProjectionUnsupported(
@@ -96,6 +101,19 @@ def pocs_run(
             break
         y = y_new
     return trace
+
+
+def pocs_certificate(set_p: OracleSet, set_q: OracleSet, trace: PocsTrace) -> Certificate:
+    """The run's verdict, from its final x = proj_P(y).
+
+    An intersection only when both sets contain x at their default
+    tolerance; x is then its own convex combination on both sides.
+    Anything else, however small the final gap, is undecided.
+    """
+    last = trace.rows[-1]
+    if set_p.contains(last.x) and set_q.contains(last.x):
+        return intersection_point(last.x, [1.0], [last.x], [1.0], [last.x], 0, last.t)
+    return Undecided(math.sqrt(last.distance_sq), 0, last.t)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from setmeet import Ball, Box, L1Ball, Simplex, StepRule, VPolytope
+from setmeet import Ball, Box, L1Ball, Simplex, StepRule, VPolytope, support_gap
 from setmeet.oracles import DEDUP_TOL
 
 
@@ -35,6 +35,26 @@ def support_min(geom, c):
 def brute_support_gap(set_p, set_q, g):
     """min over x in P, y in Q of <g, x - y>, without touching the LMOs."""
     return support_min(set_p, g) + support_min(set_q, -g)
+
+
+def kept_margins(set_p, set_q, result):
+    """min <x_t - y_t, x - y> over P x Q at each iterate of a keep_points run."""
+    return [support_gap(set_p, set_q, x - y) for x, y in result.trace.points]
+
+
+def kept_duals(set_p, set_q, result):
+    """The dual quantity ||x_t - y_t||^2 - margin_t at each kept iterate."""
+    margins = kept_margins(set_p, set_q, result)
+    return [d - m for d, m in zip(result.distance_sq, margins)]
+
+
+def midpoint_gap(set_p, set_q, x, y):
+    """Larger distance from the midpoint (x + y) / 2 to the two sets."""
+    z = 0.5 * (x + y)
+    return max(
+        float(np.linalg.norm(z - set_p.project(z))),
+        float(np.linalg.norm(z - set_q.project(z))),
+    )
 
 
 def brute_vertex_argmin(vertices, c, rel_tol=1e-12):

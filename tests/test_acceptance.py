@@ -36,6 +36,8 @@ from helpers import (
     brute_support_gap,
     brute_vertex_argmin,
     fd_gradient_check,
+    kept_duals,
+    kept_margins,
     random_feasibility_program,
     vanilla_fw,
 )
@@ -57,8 +59,7 @@ def test_01_agnostic_primal_bound():
     assert len(TWO_SET_INSTANCES) >= 12
     for inst in TWO_SET_INSTANCES:
         d_p, d_q = _diams(inst)
-        result = alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 300,
-                         record_margin=False, record_midpoint=False)
+        result = alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 300)
         for t, dsq in enumerate(result.distance_sq):
             bound = RATE_CONSTANT * (d_p**2 + d_q**2) / (t + 2) + inst.distance**2 / 4.0
             worst = max(worst, dsq / 4.0 - bound)
@@ -77,8 +78,8 @@ def test_02_dual_bound_running_min():
             continue
         d_p, d_q = _diams(inst)
         d_sum = d_p**2 + d_q**2
-        result = alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 1000)
-        duals = result.dual
+        result = alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 1000, keep_points=True)
+        duals = kept_duals(inst.set_p, inst.set_q, result)
         for big_t in (10, 100, 1000):
             upto = min(big_t, len(duals) - 1)
             measured = min(duals[1 : upto + 1])
@@ -100,9 +101,7 @@ def test_03_parameterized_certificate_budget():
             continue
         d_p, d_q = _diams(inst)
         budget = 8.0 * RATE_CONSTANT * (d_p**2 + d_q**2) / inst.distance**2
-        result = alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC,
-                         int(budget / 2) + 2, record_margin=False,
-                         record_midpoint=False)
+        result = alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, int(budget / 2) + 2)
         fired = next(
             (
                 2 * t
@@ -128,10 +127,9 @@ def test_04_free_certificate_budget_and_soundness():
         theta = 4.0 * RATE_CONSTANT * d_sum * (d_p + d_q) ** 2 / inst.distance**4
         budget = 2.0 * theta
         iters = int(theta) + 20
-        result = alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, iters,
-                         record_midpoint=False, keep_points=True)
+        result = alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, iters, keep_points=True)
         first = None
-        for t, margin in enumerate(result.margin):
+        for t, margin in enumerate(kept_margins(inst.set_p, inst.set_q, result)):
             guard = certificate_tolerance(math.sqrt(result.distance_sq[t]), d_p, d_q)
             certifies = margin > guard
             if certifies:
@@ -246,7 +244,6 @@ def test_08_oracle_equivalence():
         for rule in (StepRule.AGNOSTIC, StepRule.SHORT_STEP):
             start2 = default_start(inst.set_p, inst.set_q)
             mine = alm_run(inst.set_p, inst.set_q, rule, 50, start=start2,
-                           record_margin=False, record_midpoint=False,
                            stop_on_contact=False)
             theirs = cbcg_run(
                 distance_problem(inst.set_p, inst.set_q), list(start2), rule, 50

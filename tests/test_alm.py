@@ -29,7 +29,7 @@ from setmeet import (
 )
 from setmeet.instances import TWO_SET_INSTANCES
 from setmeet.oracles import DEDUP_TOL
-from helpers import brute_support_gap, primal_bound
+from helpers import brute_support_gap, kept_duals, kept_margins, midpoint_gap, primal_bound
 
 RULES = [StepRule.AGNOSTIC, StepRule.SHORT_STEP]
 
@@ -61,8 +61,7 @@ class TestRun:
 
     def test_disjoint_balls_converge_to_distance(self):
         p, q = Ball([0, 0], 1.0), Ball([3, 0], 1.0)
-        result = alm_run(p, q, StepRule.AGNOSTIC, 3000,
-                         record_margin=False, record_midpoint=False)
+        result = alm_run(p, q, StepRule.AGNOSTIC, 3000)
         assert result.distance_sq[-1] == pytest.approx(1.0, abs=1e-3)
         for t, dsq in enumerate(result.distance_sq):
             assert dsq / 4.0 <= primal_bound(StepRule.AGNOSTIC, t, 2.0, 2.0, 1.0) + 1e-9
@@ -70,7 +69,7 @@ class TestRun:
     def test_singleton_contact(self):
         point = VPolytope([[5.0, 5.0]])
         result = alm_run(point, point, StepRule.AGNOSTIC, 10)
-        assert result.contact
+        assert isinstance(result.certificate, IntersectionPoint)
         assert result.distance_sq == [0.0]
         assert np.array_equal(result.state.x, [5.0, 5.0])
 
@@ -113,8 +112,9 @@ class TestRun:
 
     def test_midpoint_within_half_gap(self):
         p, q = Ball([0, 0], 1.0), Box([1.5, -1], [3, 1])
-        result = alm_run(p, q, StepRule.SHORT_STEP, 200)
-        for dsq, mid in zip(result.distance_sq, result.midpoint_gap):
+        result = alm_run(p, q, StepRule.SHORT_STEP, 200, keep_points=True)
+        gaps = [midpoint_gap(p, q, x, y) for x, y in result.trace.points]
+        for dsq, mid in zip(result.distance_sq, gaps):
             assert mid <= math.sqrt(dsq) / 2.0 + 1e-12
 
     def test_seen_vertices_cover_iterates(self):
@@ -127,10 +127,49 @@ class TestRun:
         assert weights.min() >= 0.0 and float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestRecord:
+    def test_default_run_charges_every_oracle_call(self, monkeypatch):
+        # The run's own 2 + 2 * 500 calls, plus the two of the closing
+        # separation test; no per-iterate probe and no projection.
+        counts = {"lmo": 0, "project": 0}
+        for name in counts:
+            method = getattr(Ball, name)
+
+            def counted(self, z, _method=method, _name=name):
+                counts[_name] += 1
+                return _method(self, z)
+
+            monkeypatch.setattr(Ball, name, counted)
+        result = alm_run(Ball([0, 0], 1), Ball([3, 0], 1), StepRule.SHORT_STEP, 500)
+        assert result.state.lmo_calls == 1002
+        assert counts == {"lmo": 1002 + 2, "project": 0}
+        assert isinstance(result.certificate, Disjoint)
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
+    @pytest.mark.parametrize("inst", TWO_SET_INSTANCES, ids=lambda inst: inst.name)
+    def test_distance_sq_is_the_kept_iterates_gap(self, inst, rule):
+        result = alm_run(inst.set_p, inst.set_q, rule, 50, keep_points=True)
+        assert len(result.distance_sq) == len(result.trace.points)
+        for dsq, (x, y) in zip(result.distance_sq, result.trace.points):
+            assert dsq == float(np.dot(x - y, x - y))
+
+    def test_verdicts(self):
+        assert isinstance(alm_run(SEG_P, SEG_Q, StepRule.AGNOSTIC, 60).certificate, Disjoint)
+        result = alm_run(Ball([0, 0], 1.0), Ball([2.05, 0], 1.0), StepRule.AGNOSTIC, 1)
+        cert = result.certificate
+        assert isinstance(cert, Undecided)
+        assert cert.best_distance == math.sqrt(min(result.distance_sq)) > 0.05
+        point = VPolytope([[5.0, 5.0]])
+        cert = alm_run(point, point, StepRule.AGNOSTIC, 10).certificate
+        assert isinstance(cert, IntersectionPoint)
+        assert cert.iterations == 0 and cert.lmo_calls == 2
+        assert np.array_equal(np.array(cert.support_p).T @ cert.weights_p, cert.point)
+
+
 class TestDualQuantity:
     def test_contact_state_equals_negated_support_gap(self):
         box = Box([0, 0], [1, 1])
-        result = alm_run(box, box, StepRule.AGNOSTIC, 3, record_margin=True)
+        result = alm_run(box, box, StepRule.AGNOSTIC, 3)
         state = result.state
         state.x = state.y = np.array([0.5, 0.5])
         value = dual_quantity(state)
@@ -146,9 +185,9 @@ class TestDualQuantity:
 
     def test_running_min_obeys_dual_rate(self):
         p, q = Box([0, 0], [2, 2]), Box([1, 1], [3, 3])
-        result = alm_run(p, q, StepRule.AGNOSTIC, 1000)
+        result = alm_run(p, q, StepRule.AGNOSTIC, 1000, keep_points=True)
         d_sum = p.diameter() ** 2 + q.diameter() ** 2
-        duals = result.dual
+        duals = kept_duals(p, q, result)
         for big_t in (10, 100, 1000):
             available = duals[1 : min(big_t, len(duals) - 1) + 1]
             assert min(available) <= 6.75 * RATE_CONSTANT * d_sum / (big_t + 2) + 1e-9
@@ -209,9 +248,10 @@ class TestFreeCertificate:
 
     def test_intersecting_sets_never_certify(self):
         p, q = Ball([0, 0], 1.0), Box([0, -2], [3, 2])
-        result = alm_run(p, q, StepRule.AGNOSTIC, 200)
-        for t in range(len(result.margin)):
-            assert result.margin[t] <= 1e-12
+        result = alm_run(p, q, StepRule.AGNOSTIC, 200, keep_points=True)
+        margin = kept_margins(p, q, result)
+        for t in range(len(margin)):
+            assert margin[t] <= 1e-12
 
 
 class TestAdaptive:
@@ -283,8 +323,7 @@ class TestShortStepBound:
         from setmeet.instances import TWO_SET_INSTANCES
 
         for inst in TWO_SET_INSTANCES:
-            result = alm_run(inst.set_p, inst.set_q, StepRule.SHORT_STEP, 400,
-                             record_margin=False, record_midpoint=False)
+            result = alm_run(inst.set_p, inst.set_q, StepRule.SHORT_STEP, 400)
             d_p, d_q = inst.set_p.diameter(), inst.set_q.diameter()
             for t, dsq in enumerate(result.distance_sq):
                 assert dsq / 4.0 <= primal_bound(
@@ -307,16 +346,14 @@ class TestSeenVertexRecovery:
             eps = epsilon_pq(p, q)
             if math.isinf(eps):
                 continue
-            probe = alm_run(p, q, StepRule.AGNOSTIC, 400,
-                            record_margin=False, record_midpoint=False)
+            probe = alm_run(p, q, StepRule.AGNOSTIC, 400)
             t_star = next(
                 (t for t, dsq in enumerate(probe.distance_sq) if math.sqrt(dsq) < eps),
                 None,
             )
             if t_star is None or t_star == 0:
                 continue
-            replay = alm_run(p, q, StepRule.AGNOSTIC, t_star,
-                             record_margin=False, record_midpoint=False)
+            replay = alm_run(p, q, StepRule.AGNOSTIC, t_star)
             combo = solve_feasibility(
                 FeasibilityProgram(np.array(replay.state.seen_p),
                                    np.array(replay.state.seen_q))
@@ -336,8 +373,7 @@ def test_adaptive_run_is_alm_run_plus_checkpoints(inst, rule):
     ||x - y|| squared rather than <x - y, x - y>.
     """
     _cert, trace, _state = adaptive_run(inst.set_p, inst.set_q, rule, 300)
-    plain = alm_run(inst.set_p, inst.set_q, rule, 300, record_margin=False,
-                    record_midpoint=False).trace
+    plain = alm_run(inst.set_p, inst.set_q, rule, 300).trace
     assert len(trace.rows) <= len(plain.rows)
     for mine, theirs in zip(trace.rows, plain.rows):
         assert (mine.t, mine.block, mine.block_gap, mine.gamma) == (
@@ -355,8 +391,7 @@ def test_adaptive_run_is_alm_run_plus_checkpoints(inst, rule):
 def test_combination_is_the_seen_store(inst, rule, runner):
     """Each block keeps one store: its seen rows, weighted to the iterate."""
     if runner == "alm_run":
-        state = alm_run(inst.set_p, inst.set_q, rule, 300, record_margin=False,
-                        record_midpoint=False).state
+        state = alm_run(inst.set_p, inst.set_q, rule, 300).state
     else:
         state = adaptive_run(inst.set_p, inst.set_q, rule, 300)[2]
     for comb, seen, point in ((state.comb_x, state.seen_p, state.x),

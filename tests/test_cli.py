@@ -1,6 +1,9 @@
 import hashlib
+import io
 import json
+import sys
 import tempfile
+from contextlib import redirect_stdout
 import warnings
 from pathlib import Path
 
@@ -109,6 +112,19 @@ class TestSolve:
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "t,distance_sq,residual"
 
+    def test_pocs_near_miss_is_undecided(self, tmp_path):
+        # Disjoint by 5e-7: a small final gap is not a common point.
+        path = write_spec(
+            tmp_path,
+            set_p={"kind": "ball", "center": [0, 0], "radius": 1.0},
+            set_q={"kind": "ball", "center": [2.0000005, 0], "radius": 1.0},
+            algorithm="pocs",
+            max_iters=1000,
+        )
+        assert main(["solve", str(path)]) == 2
+        cert = json.loads((tmp_path / "trace.cert.json").read_text())
+        assert cert["verdict"] == "undecided"
+
     def test_cbcg_algorithm(self, tmp_path):
         # Plain runs only report an intersection on exact contact, so an
         # overlapping pair ends undecided; the trace is still written.
@@ -164,6 +180,39 @@ class TestErrors:
     def test_parse_rejects_bad_rule(self, tmp_path):
         path = write_spec(tmp_path, step_rule="fastest")
         assert main(["solve", str(path)]) == 3
+
+    def test_non_string_output_exits_three(self, tmp_path, capsys):
+        path = write_spec(tmp_path, output=5)
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: spec.output")
+
+    @pytest.mark.parametrize("field", ["dimension", "max_iters"])
+    def test_boolean_count_exits_three(self, tmp_path, capsys, field):
+        # One-dimensional sets, so that `true` read as 1 would run.
+        fields = {"dimension": 1, "max_iters": 5, field: True}
+        path = write_spec(
+            tmp_path, algorithm="alm", **fields,
+            set_p={"kind": "ball", "center": [0], "radius": 1.0},
+            set_q={"kind": "ball", "center": [3], "radius": 1.0},
+        )
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: spec.{field}")
+
+    def test_fractional_simplex_dimension_exits_three(self, tmp_path, capsys):
+        path = write_spec(tmp_path, algorithm="alm",
+                          set_p={"kind": "simplex", "dimension": 2.7, "scale": 1.0})
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: spec.set_p.dimension")
+
+    def test_zero_max_iters_override_exits_three(self, tmp_path, capsys):
+        path = write_spec(
+            tmp_path,
+            set_p={"kind": "box", "lower": [0, 0], "upper": [2, 2]},
+            set_q={"kind": "box", "lower": [1, 1], "upper": [3, 3]},
+            algorithm="pocs",
+        )
+        assert main(["solve", str(path), "--max-iters", "0"]) == 3
+        assert capsys.readouterr().err.startswith("error: --max-iters")
 
 
 class TestProbes:
@@ -317,11 +366,28 @@ def test_solve_outputs_match_golden(tmp_path, inst, rule):
     assert got == {key: golden[key] for key in got}
 
 
-if __name__ == "__main__":
-    # Re-record after an intended output change: PYTHONPATH=src python tests/test_cli.py
-    with tempfile.TemporaryDirectory() as tmp:
+def main_record(argv: list[str]) -> int:
+    """Compare `setmeet solve` with the golden digests; rewrite them only with --write."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         record = {}
         for inst in TWO_SET_INSTANCES:
             for rule in RULE_NAMES:
                 record.update(solve_digests(Path(tmp), inst, rule))
-    GOLDEN_SOLVE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    golden = json.loads(GOLDEN_SOLVE.read_text())
+    changed = sorted(key for key in golden.keys() | record.keys()
+                     if golden.get(key) != record.get(key))
+    for key in changed:
+        old, new = (json.dumps(d.get(key), sort_keys=True) for d in (golden, record))
+        print(f"{key}: {old} -> {new}")
+    if "--write" in argv:
+        GOLDEN_SOLVE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(record)} entries to {GOLDEN_SOLVE.name}")
+        return 0
+    print(f"{len(changed)} of {len(record)} entries differ")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py [--write]
+    # Lists the entries whose digests differ, old -> new; --write re-records them.
+    sys.exit(main_record(sys.argv[1:]))

@@ -4,10 +4,12 @@ import pytest
 from setmeet import (
     Ball,
     Box,
+    GeometryError,
     ProjectionUnsupported,
     Simplex,
     VPolytope,
     check_pocs_rate,
+    pocs_certificate,
     pocs_run,
 )
 from setmeet.instances import POCS_INSTANCES
@@ -51,6 +53,10 @@ class TestRun:
         assert trace.rows[0].residual == 0.0
         assert trace.rows[0].distance_sq == 0.0
 
+    def test_rejects_an_empty_budget(self):
+        with pytest.raises(GeometryError, match="max_iters"):
+            pocs_run(Ball([0, 0], 1.0), Ball([1, 0], 1.0), np.zeros(2), 0)
+
     def test_unsupported_geometry_redirects(self):
         with pytest.raises(ProjectionUnsupported, match="LMO-based"):
             pocs_run(
@@ -64,6 +70,20 @@ class TestRun:
             for row in trace.rows:
                 assert inst.set_p.contains(row.x, tol=1e-9)
                 assert inst.set_q.contains(row.y, tol=1e-9)
+
+
+class TestCertificate:
+    def test_intersection_is_its_own_combination(self):
+        # A thin lens: the run ends with x != y, and x in both balls.
+        p, q = Ball([0, 0], 1.0), Ball([1.99, 0], 1.0)
+        trace = pocs_run(p, q, np.array([1.0, 2.0]), 1000)
+        assert not np.array_equal(trace.rows[-1].x, trace.rows[-1].y)
+        cert = pocs_certificate(p, q, trace)
+        assert cert.verdict == "intersection"
+        assert p.contains(cert.point) and q.contains(cert.point)
+        for weights, support in ((cert.weights_p, cert.support_p),
+                                 (cert.weights_q, cert.support_q)):
+            assert np.array_equal(np.array(support).T @ weights, cert.point)
 
 
 class TestRateBounds:
