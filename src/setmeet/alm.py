@@ -229,9 +229,9 @@ def alm_run(
 ) -> AlmResult:
     """Run the alternating solver for up to ``max_iters`` iterations, then decide.
 
-    The verdict: contact (stopped on, when ``stop_on_contact`` is set)
-    gives an intersection point over the stores; otherwise the
-    separation test at the final direction (``certify_disjoint_free``,
+    The verdict: contact (tested before each sweep and after the last,
+    and stopped on when ``stop_on_contact`` is set) gives an
+    intersection point over the stores; otherwise the separation test at the final direction (``certify_disjoint_free``,
     two uncharged LMO calls) gives a disjointness certificate; otherwise
     the run is undecided at its smallest gap.  With ``keep_points`` the
     trace holds every iterate, from which per-iterate probes such as
@@ -243,11 +243,13 @@ def alm_run(
 
     calls = 0
     contact = False
-    for t in range(max_iters):
+    for t in range(max_iters + 1):
         d = points[0] - points[1]
         dsq = float(np.dot(d, d))
         if stop_on_contact and math.sqrt(dsq) <= CONTACT_TOL:
             contact = True
+            break
+        if t == max_iters:
             break
         calls = _sweep(problem, trace, points, t, dsq, calls)
         if keep_points:
@@ -371,7 +373,7 @@ def adaptive_run(
     best_distance = math.inf
     certificate: Certificate | None = None
 
-    for t in range(max_iters):
+    for t in range(max_iters + 1):
         dist = float(np.linalg.norm(points[0] - points[1]))
         best_distance = min(best_distance, dist)
         if dist <= CONTACT_TOL:
@@ -379,6 +381,8 @@ def adaptive_run(
                 points[0], comb_x.weights, comb_x.support, comb_y.weights, comb_y.support,
                 calls, t,
             )
+            break
+        if t == max_iters:
             break
         calls = _sweep(problem, trace, points, t, dist * dist, calls, cached_u)
         cached_u = None
@@ -408,7 +412,6 @@ def adaptive_run(
                     break
 
     state = _finish(problem, trace, points, calls)
-    best_distance = min(best_distance, float(np.linalg.norm(points[0] - points[1])))
     if certificate is None:
         certificate = Undecided(best_distance, calls, max_iters)
     return certificate, trace, state

@@ -7,9 +7,15 @@ candidate as a convex combination on each side gives the linear program
     sum_u lam_u = 1,  sum_v kap_v = 1,  lam >= 0,  kap >= 0,
 
 solved here by a dense phase-1 simplex method with Bland's anti-cycling
-rule.  ``hull_distance`` complements the yes/no answer with the actual
-distance between the hulls, via projected gradient descent on the
-product of weight simplices plus an active-set polish.
+rule.  Before pivoting, a least-squares Farkas screen decides most
+infeasible programs: any y with |y|_inf <= 1 bounds the phase-1
+objective from below by y.b - 2 max(0, max(A^T y)), since the two
+convexity rows keep sum(lam) + sum(kap) <= 2.  The screen takes y from
+the least-squares residual of A z = b and answers None when that bound
+exceeds FEASIBLE_TOL; a program it does not decide gets exactly the
+simplex answer.  ``hull_distance`` complements the yes/no answer with
+the actual distance between the hulls, via projected gradient descent
+on the product of weight simplices plus an active-set polish.
 """
 
 from __future__ import annotations
@@ -95,6 +101,7 @@ def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
     t[m, :n] = -a.sum(axis=0)
     t[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
+    outer = np.empty_like(t)
 
     for _ in range(max_pivots):
         negative = t[m, :n + m] < -1e-10
@@ -121,7 +128,8 @@ def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
         # Rows with a zero entry stay untouched, so their -0.0 entries survive.
         hit = t[:, enter] != 0.0
         hit[leave] = False
-        t[hit] -= t[hit, enter][:, None] * t[leave]
+        np.multiply(t[:, enter, None], t[leave], out=outer)
+        np.subtract(t, outer, out=t, where=hit[:, None])
         basis[leave] = enter
     else:
         raise RuntimeError("phase-1 simplex exceeded the pivot limit")
@@ -131,8 +139,8 @@ def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
     return float(-t[m, -1]), z[:n]
 
 
-def solve_feasibility(prog: FeasibilityProgram) -> FeasibleCombination | None:
-    """Weights meeting the hull-intersection program, or None if infeasible."""
+def _normalised_program(prog: FeasibilityProgram) -> tuple[Array, Array]:
+    """The hull-intersection program as A z = b, z = (lam, kap), rows at unit norm."""
     u, v = prog.u_points, prog.v_points
     ku, kv = u.shape[0], v.shape[0]
     n = prog.dimension
@@ -152,7 +160,40 @@ def solve_feasibility(prog: FeasibilityProgram) -> FeasibleCombination | None:
         if norm > 1e-12:
             a[i] /= norm
             b[i] /= norm
+    return a, b
 
+
+def _farkas_infeasible(a: Array, b: Array) -> bool:
+    """True when a least-squares residual proves the phase-1 objective > FEASIBLE_TOL.
+
+    Every phase-1 point has slack s = b - A z >= 0 with z >= 0, and the
+    two normalised convexity rows give sum(z) <= 2.  So for |y|_inf <= 1
+    the objective 1.s >= y.s = y.b - (A^T y).z >= y.b - 2 max(0, max(A^T y)).
+    The bound holds for any such y; lstsq only proposes one.
+    """
+    r = b - a @ np.linalg.lstsq(a, b, rcond=None)[0]
+    scale = float(np.abs(r).max())
+    if not scale > 0.0:
+        return False
+    y = r / scale
+    bound = float(y @ b) - 2.0 * max(0.0, float((a.T @ y).max()))
+    return bound > FEASIBLE_TOL
+
+
+def solve_feasibility(prog: FeasibilityProgram) -> FeasibleCombination | None:
+    """Weights meeting the hull-intersection program, or None if infeasible.
+
+    The program is first screened (``_farkas_infeasible``): with r the
+    least-squares residual of A z = b and y = r / max|r|, the phase-1
+    objective is at least y.b - 2 max(0, max(A^T y)); when that exceeds
+    FEASIBLE_TOL the answer is None without pivoting.  Otherwise
+    ``phase_one_simplex`` decides it.
+    """
+    u, v = prog.u_points, prog.v_points
+    ku = u.shape[0]
+    a, b = _normalised_program(prog)
+    if _farkas_infeasible(a, b):
+        return None
     objective, z = phase_one_simplex(a, b)
     if objective > FEASIBLE_TOL:
         return None

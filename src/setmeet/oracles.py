@@ -23,6 +23,7 @@ pure function, so sets can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -245,6 +246,9 @@ class Simplex:
     scale: float = 1.0
 
     def __post_init__(self):
+        # The CLI's count rule: an integer (numpy's included), never a bool.
+        if isinstance(self.dimension, bool) or not isinstance(self.dimension, numbers.Integral):
+            raise GeometryError(f"Simplex dimension must be an integer, got {self.dimension!r}")
         object.__setattr__(self, "dimension", int(self.dimension))
         object.__setattr__(self, "scale", float(self.scale))
         if self.dimension < 1:

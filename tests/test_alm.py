@@ -402,3 +402,39 @@ def test_combination_is_the_seen_store(inst, rule, runner):
         assert float(weights.sum()) == pytest.approx(1.0, abs=1e-12)
         miss = float(np.linalg.norm(comb.combination() - point))
         assert miss <= DEDUP_TOL + 1e-12 * (1.0 + float(np.linalg.norm(point)))
+
+
+def test_contact_reached_by_the_last_sweep_is_an_intersection():
+    result = alm_run(Box([0, 0], [2, 2]), Box([1, 1], [3, 3]), StepRule.AGNOSTIC, 4)
+    cert = result.certificate
+    assert isinstance(cert, IntersectionPoint)
+    assert (cert.iterations, cert.lmo_calls) == (4, 10)
+    assert np.array_equal(cert.point, result.state.x)
+
+
+@pytest.mark.parametrize("runner", ["alm_run", "adaptive_run"])
+def test_budget_ending_at_contact_gives_the_same_certificate(runner):
+    """Rerun at the iteration a budget-300 run stopped on, it reaches the same verdict."""
+    def run(inst, rule, budget):
+        if runner == "alm_run":
+            return alm_run(inst.set_p, inst.set_q, rule, budget).certificate
+        return adaptive_run(inst.set_p, inst.set_q, rule, budget)[0]
+
+    checked = 0
+    for inst in TWO_SET_INSTANCES:
+        for rule in RULES:
+            cert = run(inst, rule, 300)
+            if not isinstance(cert, IntersectionPoint) or cert.iterations == 0:
+                continue
+            again = run(inst, rule, cert.iterations)
+            where = (inst.name, rule.value)
+            assert isinstance(again, IntersectionPoint), where
+            assert (again.iterations, again.lmo_calls) == (cert.iterations, cert.lmo_calls), where
+            for mine, theirs in ((again.point, cert.point),
+                                 (again.weights_p, cert.weights_p),
+                                 (again.weights_q, cert.weights_q),
+                                 (again.support_p, cert.support_p),
+                                 (again.support_q, cert.support_q)):
+                assert np.array_equal(np.asarray(mine), np.asarray(theirs)), where
+            checked += 1
+    assert checked >= 8

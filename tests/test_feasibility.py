@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,17 @@ from setmeet import (
     DimensionMismatch,
     FeasibilityProgram,
     GeometryError,
+    StepRule,
     VPolytope,
+    adaptive_run,
     epsilon_pq,
     hull_distance,
     membership,
     phase_one_simplex,
     solve_feasibility,
 )
+from setmeet import alm, feasibility
+from setmeet.feasibility import FEASIBLE_TOL
 from helpers import brute_phase_one_simplex, random_feasibility_program
 
 TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
@@ -117,6 +122,173 @@ def test_phase_one_pivot_limit_matches_the_scalar_pivots():
             pytest.fail(f"program {i} needs more than 11 pivots")
     with pytest.raises(RuntimeError, match="phase-1 simplex exceeded the pivot limit"):
         phase_one_simplex(TRIANGLE.T, np.array([5.0, 5.0]), max_pivots=1)
+
+
+def _intersecting_pair(rng):
+    """Two point lists whose hulls share a point by construction."""
+    d = int(rng.integers(1, 9))
+    u = rng.normal(size=(int(rng.integers(1, 11)), d))
+    v = rng.normal(size=(int(rng.integers(1, 11)), d))
+    common = u.T @ rng.dirichlet(np.ones(len(u)))
+    return u, v + (common - v.T @ rng.dirichlet(np.ones(len(v))))
+
+
+def _near_miss_pair(rng):
+    """Hulls touching at one point, then pulled apart by 1e-12 to 1e-6.
+
+    conv(u) lies in {n.x <= 0} and conv(v) in {n.x >= delta}, with the
+    touching point on both boundaries, so the hulls are delta apart.
+    Few points per side leave the affine spans disjoint in most draws.
+    """
+    d = int(rng.integers(2, 9))
+    normal = rng.normal(size=d)
+    normal /= np.linalg.norm(normal)
+    u = rng.normal(size=(int(rng.integers(1, d + 2)), d))
+    u -= (u @ normal).max() * normal
+    v = rng.normal(size=(int(rng.integers(1, d + 2)), d))
+    v -= (v @ normal).min() * normal
+    v[int(rng.integers(len(v)))] = u[int(np.argmax(u @ normal))]
+    return u, v + 10.0 ** rng.uniform(-12.0, -6.0) * normal
+
+
+def _integer_pair(rng):
+    """Small-integer point lists: repeated points and exact degeneracy."""
+    d = int(rng.integers(1, 5))
+    return (rng.integers(-2, 3, size=(int(rng.integers(1, 7)), d)).astype(float),
+            rng.integers(-2, 3, size=(int(rng.integers(1, 7)), d)).astype(float))
+
+
+HULL_PROGRAM_KINDS = {
+    "intersecting": _intersecting_pair,
+    "near-miss": _near_miss_pair,
+    "separated": random_feasibility_program,
+    "integer": _integer_pair,
+}
+
+
+def _hull_programs(seed, per_kind):
+    rng = np.random.default_rng(seed)
+    for kind, draw in HULL_PROGRAM_KINDS.items():
+        for _ in range(per_kind):
+            yield kind, FeasibilityProgram(*draw(rng))
+
+
+class TestFarkasScreen:
+    def test_fires_only_on_programs_the_simplex_finds_infeasible(self):
+        fired = dict.fromkeys(HULL_PROGRAM_KINDS, 0)
+        for kind, prog in _hull_programs(71, 300):
+            a, b = feasibility._normalised_program(prog)
+            if feasibility._farkas_infeasible(a, b):
+                fired[kind] += 1
+                objective, _ = phase_one_simplex(a, b)
+                assert objective > FEASIBLE_TOL, (kind, prog)
+        assert all(fired[kind] > 0 for kind in ("near-miss", "separated", "integer")), fired
+
+    def test_bound_proves_a_column_poor_program_infeasible(self):
+        # Two points against one in 3-d: the spans miss, and no pivot is needed.
+        prog = FeasibilityProgram([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.5, 1e-6, 0.0]])
+        assert feasibility._farkas_infeasible(*feasibility._normalised_program(prog))
+        # Spans that meet prove nothing, even when the hulls are disjoint.
+        prog = FeasibilityProgram([[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0]])
+        assert not feasibility._farkas_infeasible(*feasibility._normalised_program(prog))
+        assert solve_feasibility(prog) is None
+
+    def test_agrees_with_scipy_linprog(self):
+        """solve_feasibility's verdict against HiGHS on the raw program.
+
+        HiGHS runs at 1e-10 tolerances.  Near misses enter only where the
+        screen decides them.  Those it leaves to the simplex include hulls
+        closer than FEASIBLE_TOL, where the two solvers' tolerances may
+        differ and where phase_one_simplex can stop at a non-optimal basis
+        or fail its residual check.
+        """
+        optimize = pytest.importorskip("scipy.optimize")
+        screened = 0
+        for kind, prog in _hull_programs(72, 150):
+            a, b = feasibility._normalised_program(prog)
+            if kind == "near-miss":
+                if not feasibility._farkas_infeasible(a, b):
+                    continue
+                screened += 1
+            u, v = prog.u_points, prog.v_points
+            ku, kv = len(u), len(v)
+            a_eq = np.vstack([np.hstack([u.T, -v.T]),
+                              np.r_[np.ones(ku), np.zeros(kv)],
+                              np.r_[np.zeros(ku), np.ones(kv)]])
+            b_eq = np.r_[np.zeros(prog.dimension), 1.0, 1.0]
+            res = optimize.linprog(
+                np.zeros(ku + kv), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                options={"primal_feasibility_tolerance": 1e-10,
+                         "dual_feasibility_tolerance": 1e-10},
+            )
+            assert res.status in (0, 2), (kind, res.message)
+            assert (solve_feasibility(prog) is not None) == (res.status == 0), (kind, prog)
+        assert screened > 0
+
+
+def _run_bytes(run):
+    """Every number an adaptive run reports, as bytes."""
+    cert, trace, state = run
+
+    def flat(value):
+        if dataclasses.is_dataclass(value):
+            return b"".join(flat(getattr(value, f.name)) for f in dataclasses.fields(value))
+        if isinstance(value, (list, tuple)):
+            return b"".join(flat(item) for item in value)
+        if isinstance(value, np.ndarray):
+            return repr((value.dtype, value.shape)).encode() + value.tobytes()
+        if isinstance(value, float):
+            return np.float64(value).tobytes()
+        return repr(value).encode()
+
+    return (flat(cert), flat(trace.rows), flat(trace.final_objective),
+            flat(state.seen_p), flat(state.seen_q),
+            flat(state.comb_x.weights), flat(state.comb_y.weights))
+
+
+def _polytope_pair(rng, d, offset):
+    p = VPolytope(rng.normal(size=(6 * d, d)))
+    q = VPolytope(rng.normal(size=(6 * d, d)) + offset * rng.normal(size=d))
+    return p, q
+
+
+@pytest.mark.parametrize("rule", [StepRule.AGNOSTIC, StepRule.SHORT_STEP], ids=lambda r: r.value)
+@pytest.mark.parametrize("d", [5, 8])
+def test_screen_leaves_adaptive_runs_bit_for_bit(monkeypatch, d, rule):
+    rng = np.random.default_rng(100 + d)
+    pairs = [_polytope_pair(rng, d, offset) for offset in (0.3, 0.6, 1.0, 1.5, 2.0, 3.0)]
+    screen = feasibility._farkas_infeasible
+    fired = []
+
+    def counted(a, b):
+        fired.append(screen(a, b))
+        return fired[-1]
+
+    monkeypatch.setattr(feasibility, "_farkas_infeasible", counted)
+    on = [_run_bytes(adaptive_run(p, q, rule, 512)) for p, q in pairs]
+    monkeypatch.setattr(feasibility, "_farkas_infeasible", lambda a, b: False)
+    off = [_run_bytes(adaptive_run(p, q, rule, 512)) for p, q in pairs]
+    assert any(fired)
+    assert on == off
+
+
+def test_adaptive_checkpoints_pivot_less_often_than_they_solve(monkeypatch):
+    calls = {"solve_feasibility": 0, "phase_one_simplex": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(alm, "solve_feasibility")
+    counted(feasibility, "phase_one_simplex")
+    p, q = _polytope_pair(np.random.default_rng(5), 8, 0.3)
+    adaptive_run(p, q, StepRule.AGNOSTIC, 512)
+    assert 0 < calls["phase_one_simplex"] < calls["solve_feasibility"]
 
 
 class TestHullDistance:

@@ -297,6 +297,20 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Ball([0, 0], -1.0)
 
+    @pytest.mark.parametrize("dimension", [2.7, 3.0, True, np.bool_(True), "3", None])
+    def test_simplex_dimension_must_be_an_integer(self, dimension):
+        with pytest.raises(GeometryError, match="dimension"):
+            Simplex(dimension)
+
+    @pytest.mark.parametrize("dimension", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_simplex_accepts_numpy_integers(self, dimension):
+        simplex = Simplex(dimension)
+        assert simplex.dim == 3 and type(simplex.dim) is int
+
+    def test_simplex_dimension_at_least_one(self):
+        with pytest.raises(GeometryError, match="dimension"):
+            Simplex(0)
+
     def test_vertices_deduplicated(self):
         poly = VPolytope([[0, 0], [0, 0], [1e-12, 0], [1, 1]])
         assert poly.vertices.shape == (2, 2)
