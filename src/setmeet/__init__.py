@@ -17,7 +17,6 @@ from .alm import (
     RATE_CONSTANT,
     Undecided,
     adaptive_run,
-    alm_adaptive,
     alm_run,
     certificate_tolerance,
     certify_disjoint_free,

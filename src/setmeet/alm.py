@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -138,18 +138,21 @@ class Undecided:
 Certificate = Union[IntersectionPoint, Disjoint, Undecided]
 
 
-@dataclass
-class AlmResult:
-    """A plain run: its trace, its final state and the verdict it reached."""
+class AlmResult(NamedTuple):
+    """A run of either solver: the verdict it reached, its trace and final state."""
 
+    certificate: Certificate
     trace: IterateTrace
     state: AlmState
-    certificate: Certificate
 
     @property
     def distance_sq(self) -> list[float]:
         """||x_t - y_t||^2 at every iterate, the final one included."""
-        return [row.objective for row in self.trace.rows[::2]] + [self.trace.final_objective]
+        return _distance_sq(self.trace)
+
+
+def _distance_sq(trace: IterateTrace) -> list[float]:
+    return [row.objective for row in trace.rows[::2]] + [trace.final_objective]
 
 
 def default_start(set_p: OracleSet, set_q: OracleSet) -> tuple[Array, Array]:
@@ -256,18 +259,13 @@ def alm_run(
             trace.points.append([p.copy() for p in points])
 
     state = _finish(problem, trace, points, init_calls + calls)
-    result = AlmResult(trace, state, None)
     if contact:
-        comb_x, comb_y = trace.combinations
-        result.certificate = intersection_point(
-            state.x, comb_x.weights, comb_x.support, comb_y.weights, comb_y.support,
-            state.lmo_calls, state.t,
-        )
+        certificate = _contact(state)
     else:
-        result.certificate = certify_disjoint_free(state) or Undecided(
-            math.sqrt(min(result.distance_sq)), state.lmo_calls, state.t
+        certificate = certify_disjoint_free(state) or Undecided(
+            math.sqrt(min(_distance_sq(trace))), state.lmo_calls, state.t
         )
-    return result
+    return AlmResult(certificate, trace, state)
 
 
 def dual_quantity(state: AlmState) -> float:
@@ -347,13 +345,21 @@ def intersection_point(point, weights_p, rows_p, weights_q, rows_q,
     )
 
 
+def _contact(state: AlmState) -> IntersectionPoint:
+    """The contact verdict: x as the combination of each block's store."""
+    return intersection_point(
+        state.x, state.comb_x.weights, state.seen_p, state.comb_y.weights, state.seen_q,
+        state.lmo_calls, state.t,
+    )
+
+
 def adaptive_run(
     set_p: OracleSet,
     set_q: OracleSet,
     rule: StepRule,
     max_iters: int,
     start: tuple[Array, Array] | None = None,
-) -> tuple[Certificate, IterateTrace, AlmState]:
+) -> AlmResult:
     """Adaptive solver: alternate, and at t = 2^k test both certificates.
 
     At each checkpoint the separation margin is probed first (two LMO
@@ -372,15 +378,13 @@ def adaptive_run(
     lp_support_size = -1
     best_distance = math.inf
     certificate: Certificate | None = None
+    contact = False
 
     for t in range(max_iters + 1):
         dist = float(np.linalg.norm(points[0] - points[1]))
         best_distance = min(best_distance, dist)
         if dist <= CONTACT_TOL:
-            certificate = intersection_point(
-                points[0], comb_x.weights, comb_x.support, comb_y.weights, comb_y.support,
-                calls, t,
-            )
+            contact = True
             break
         if t == max_iters:
             break
@@ -412,17 +416,8 @@ def adaptive_run(
                     break
 
     state = _finish(problem, trace, points, calls)
-    if certificate is None:
+    if contact:
+        certificate = _contact(state)
+    elif certificate is None:
         certificate = Undecided(best_distance, calls, max_iters)
-    return certificate, trace, state
-
-
-def alm_adaptive(
-    set_p: OracleSet,
-    set_q: OracleSet,
-    rule: StepRule,
-    max_iters: int,
-    start: tuple[Array, Array] | None = None,
-) -> Certificate:
-    """Certificate-only interface to the adaptive solver."""
-    return adaptive_run(set_p, set_q, rule, max_iters, start)[0]
+    return AlmResult(certificate, trace, state)

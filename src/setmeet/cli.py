@@ -33,7 +33,6 @@ from .feasibility import FeasibilityProgram, epsilon_pq, membership, solve_feasi
 from .oracles import (
     Ball,
     Box,
-    GeometryError,
     L1Ball,
     OracleSet,
     Simplex,
@@ -97,7 +96,7 @@ def _geometry(obj, dimension: int, where: str) -> OracleSet:
             raise SpecError(f"{where}.kind: unknown geometry kind {kind!r}")
     except SpecError:
         raise
-    except (GeometryError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     if geom.dim != dimension:
         raise SpecError(f"{where}: geometry dimension {geom.dim} != dimension {dimension}")
@@ -196,17 +195,12 @@ def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None
         trace = pocs_run(spec.set_p, spec.set_q, y0, spec.max_iters)
         write_pocs_csv(trace, out_path)
         cert: alm.Certificate = pocs_certificate(spec.set_p, spec.set_q, trace)
-    elif spec.algorithm == "alm-adaptive":
-        cert, trace, _state = alm.adaptive_run(
-            spec.set_p, spec.set_q, spec.step_rule, spec.max_iters
-        )
-        write_trace_csv(trace, out_path)
     else:
         # alm and cbcg name the same run: alm_run is the engine's two-block
-        # case on the distance objective.
-        result = alm.alm_run(spec.set_p, spec.set_q, spec.step_rule, spec.max_iters)
-        write_trace_csv(result.trace, out_path)
-        cert = result.certificate
+        # case on the distance objective.  Both solvers return an AlmResult.
+        run = alm.adaptive_run if spec.algorithm == "alm-adaptive" else alm.alm_run
+        cert, trace, _state = run(spec.set_p, spec.set_q, spec.step_rule, spec.max_iters)
+        write_trace_csv(trace, out_path)
 
     cert_path = _certificate_path(spec.output)
     cert_json = json.dumps(certificate_json(cert), sort_keys=True, indent=2, allow_nan=False)
@@ -301,7 +295,7 @@ def _bench_adaptive() -> int:
             if math.isinf(eps)
             else 16.0 * alm.RATE_CONSTANT * (d_p ** 2 + d_q ** 2) / eps ** 2
         )
-        cert = alm.alm_adaptive(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 10_000)
+        cert = alm.adaptive_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 10_000).certificate
         ok = isinstance(cert, alm.IntersectionPoint) and cert.lmo_calls <= budget
         if ok:
             ok = membership(cert.point, inst.set_p.vertices) and membership(

@@ -31,6 +31,9 @@ from .oracles import (
 
 # Phase-1 objective at or below this value counts as feasible.
 FEASIBLE_TOL = 1e-9
+# hull_distance's descent: starting points in one batch, and its step limit.
+HULL_RESTARTS = 20
+HULL_DESCENT_ITERS = 600
 
 
 def _points_matrix(points, name: str) -> Array:
@@ -82,8 +85,11 @@ def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
     Returns (objective, z).  The system is feasible iff the objective is
     (numerically) zero, in which case z is a feasible basic solution.
     Entering columns follow Bland's rule (lowest index with negative
-    reduced cost) and ratio-test ties leave the lowest basic index, so
-    the method cannot cycle.
+    reduced cost) and ratio-test ties leave the lowest basic index.
+    Known limitation: the 1e-10 reduced-cost and 1e-12 ratio-tie
+    tolerances break Bland's anti-cycling guarantee, so a degenerate
+    program can cycle until ``max_pivots`` and raise RuntimeError (a
+    point far outside a 300-vertex hull in 30-d does).
     """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
@@ -250,19 +256,13 @@ def _polish(m_rows: Array, ka: int, w: Array) -> Array | None:
     return None
 
 
-def hull_distance(
-    a_points,
-    b_points,
-    *,
-    check_feasibility: bool = True,
-    restarts: int = 20,
-    max_iters: int = 600,
-) -> float:
+def hull_distance(a_points, b_points, *, check_feasibility: bool = True) -> float:
     """Distance between conv(A) and conv(B) to absolute accuracy ~1e-7.
 
     Projected gradient descent on the product of weight simplices, run
-    from deterministic vertex-indexed restarts in one vectorized batch,
-    followed by an active-set polish of the best candidate.  When
+    from HULL_RESTARTS deterministic vertex-indexed starts in one
+    vectorized batch for at most HULL_DESCENT_ITERS steps, then an
+    active-set polish of the best candidate.  When
     ``check_feasibility`` is set (the default) an LP solve first decides
     intersection, and intersecting hulls return exactly 0.0.
     """
@@ -285,11 +285,11 @@ def hull_distance(
         return float(np.linalg.norm(a[0] - b[0]))
     step = 1.0 / lip
 
-    w = np.zeros((restarts, ka + kb))
-    for r in range(restarts):
+    w = np.zeros((HULL_RESTARTS, ka + kb))
+    for r in range(HULL_RESTARTS):
         w[r, r % ka] = 1.0
         w[r, ka + (r // ka) % kb] = 1.0
-    for _ in range(max_iters):
+    for _ in range(HULL_DESCENT_ITERS):
         grad = w @ gram
         new = np.hstack(
             [

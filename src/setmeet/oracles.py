@@ -395,11 +395,9 @@ class VPolytope:
 
     def contains(self, x, tol: float = 1e-7) -> bool:
         x = as_vector(x, self.dim, "point")
-        from .feasibility import hull_distance, membership
+        from .feasibility import hull_distance
 
-        return membership(x, self.vertices) or (
-            hull_distance(self.vertices, x[None], check_feasibility=False) <= tol
-        )
+        return hull_distance(self.vertices, x[None]) <= tol
 
     def sample(self, rng: np.random.Generator) -> Array:
         weights = rng.dirichlet(np.ones(self.vertices.shape[0]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alm import Certificate, Undecided, intersection_point
-from .cbcg import NumericsError
+from .cbcg import RATE_SLACK, NumericsError
 from .oracles import (
     Array,
     DimensionMismatch,
@@ -135,11 +135,11 @@ class PocsRateReport:
         return not self.violations
 
 
-def check_pocs_rate(trace: PocsTrace, dist_y0: float, *, slack: float = 1e-9) -> PocsRateReport:
+def check_pocs_rate(trace: PocsTrace, dist_y0: float) -> PocsRateReport:
     """Check the averaged residual bound, and the gap bound when d_hat = 0.
 
     ``dist_y0`` is dist(y0, Q_min), supplied analytically by the caller.
-    Report-only.
+    Report-only; violations beyond ``RATE_SLACK`` are listed.
     """
     residual_rows: list[PocsBoundRow] = []
     intersect_rows: list[PocsBoundRow] = []
@@ -152,12 +152,12 @@ def check_pocs_rate(trace: PocsTrace, dist_y0: float, *, slack: float = 1e-9) ->
         running += row.residual
         measured = running / t
         bound = dist_y0 ** 2 / t
-        ok = measured <= bound + slack
+        ok = measured <= bound + RATE_SLACK
         residual_rows.append(PocsBoundRow(t, measured, bound, ok))
         if not ok:
             violations.append(f"t={t}: mean residual {measured:.6e} > {bound:.6e}")
         if intersecting:
-            ok2 = row.distance_sq <= bound + slack
+            ok2 = row.distance_sq <= bound + RATE_SLACK
             intersect_rows.append(PocsBoundRow(t, row.distance_sq, bound, ok2))
             if not ok2:
                 violations.append(f"t={t}: gap {row.distance_sq:.6e} > {bound:.6e}")

@@ -11,7 +11,7 @@ from setmeet import (
     IntersectionPoint,
     RATE_CONSTANT,
     StepRule,
-    alm_adaptive,
+    adaptive_run,
     alm_run,
     cbcg_run,
     certificate_tolerance,
@@ -161,7 +161,7 @@ def test_05_adaptive_recovery_budget():
             if math.isinf(eps)
             else 16.0 * RATE_CONSTANT * (d_p**2 + d_q**2) / eps**2
         )
-        cert = alm_adaptive(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 20_000)
+        cert = adaptive_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 20_000).certificate
         good = (
             isinstance(cert, IntersectionPoint)
             and cert.lmo_calls <= budget

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from setmeet import (
+    AlmResult,
     Ball,
     Box,
     Disjoint,
@@ -14,7 +15,6 @@ from setmeet import (
     Undecided,
     VPolytope,
     adaptive_run,
-    alm_adaptive,
     alm_run,
     cbcg_run,
     certify_disjoint_free,
@@ -256,12 +256,12 @@ class TestFreeCertificate:
 
 class TestAdaptive:
     def test_triangle_segment_recovers_touch_point(self):
-        cert = alm_adaptive(
+        cert = adaptive_run(
             VPolytope([[0, 0], [2, 0], [0, 2]]),
             VPolytope([[1, 1], [3, 1]]),
             StepRule.AGNOSTIC,
             200,
-        )
+        ).certificate
         assert isinstance(cert, IntersectionPoint)
         assert np.allclose(cert.point, [1.0, 1.0], atol=1e-7)
         # Certificate invariants: valid convex combinations on both sides.
@@ -276,7 +276,7 @@ class TestAdaptive:
 
     def test_disjoint_segments_within_budget(self):
         budget = 16.0 * RATE_CONSTANT * (1.0 + 1.0) * (2.0**2) / (2.0**4)
-        cert = alm_adaptive(SEG_P, SEG_Q, StepRule.AGNOSTIC, 500)
+        cert = adaptive_run(SEG_P, SEG_Q, StepRule.AGNOSTIC, 500).certificate
         assert isinstance(cert, Disjoint)
         assert cert.lmo_calls <= budget
         assert brute_support_gap(SEG_P, SEG_Q, cert.direction) == pytest.approx(
@@ -285,30 +285,30 @@ class TestAdaptive:
 
     def test_identical_singletons_immediate(self):
         point = VPolytope([[5.0, 5.0]])
-        cert = alm_adaptive(point, point, StepRule.AGNOSTIC, 50)
+        cert = adaptive_run(point, point, StepRule.AGNOSTIC, 50).certificate
         assert isinstance(cert, IntersectionPoint)
         assert np.array_equal(cert.point, [5.0, 5.0])
         assert cert.iterations == 0
 
     def test_budget_exhaustion_is_undecided(self):
         # One iteration is too few for any 2^k checkpoint to run.
-        cert = alm_adaptive(
+        cert = adaptive_run(
             Ball([0, 0], 1.0), Ball([2.1, 0], 1.0), StepRule.AGNOSTIC, 1
-        )
+        ).certificate
         assert isinstance(cert, Undecided)
         assert cert.best_distance > 0.0
 
     def test_lp_point_verified_by_membership(self):
         p = VPolytope([[0, 0], [2, 0], [2, 2], [0, 2]])
         q = VPolytope([[1, 1], [3, 1], [3, 3], [1, 3]])
-        cert = alm_adaptive(p, q, StepRule.AGNOSTIC, 500)
+        cert = adaptive_run(p, q, StepRule.AGNOSTIC, 500).certificate
         assert isinstance(cert, IntersectionPoint)
         assert membership(cert.point, p.vertices)
         assert membership(cert.point, q.vertices)
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
     def test_ball_geometries_also_certify(self, rule):
-        cert = alm_adaptive(Ball([0, 0], 1.0), Ball([3, 0], 1.0), rule, 2000)
+        cert = adaptive_run(Ball([0, 0], 1.0), Ball([3, 0], 1.0), rule, 2000).certificate
         assert isinstance(cert, Disjoint)
         assert brute_support_gap(Ball([0, 0], 1.0), Ball([3, 0], 1.0), cert.direction) > 0.0
 
@@ -316,6 +316,20 @@ class TestAdaptive:
         _cert, trace, _state = adaptive_run(SEG_P, SEG_Q, StepRule.AGNOSTIC, 200)
         calls = [row.lmo_calls for row in trace.rows]
         assert all(b > a for a, b in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("run", [alm_run, adaptive_run], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("sets", [
+    (VPolytope([[0, 0], [2, 0], [0, 2]]), VPolytope([[1, 1], [3, 1]])),
+    (SEG_P, SEG_Q),
+], ids=["intersecting", "disjoint"])
+def test_both_solvers_return_an_alm_result(run, sets):
+    result = run(*sets, StepRule.AGNOSTIC, 200)
+    assert isinstance(result, AlmResult)
+    cert, trace, state = result
+    assert cert is result.certificate and trace is result.trace and state is result.state
+    assert result[2] is result.state and result.certificate is result[0]
+    assert result.distance_sq[-1] == trace.final_objective
 
 
 class TestShortStepBound:

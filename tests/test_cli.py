@@ -204,6 +204,16 @@ class TestErrors:
         assert main(["solve", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error: spec.set_p.dimension")
 
+    @pytest.mark.parametrize("set_p", [
+        {"kind": "ball", "center": [0, 0], "radius": "abc"},
+        {"kind": "vpolytope", "vertices": [[0, 0], [1]]},
+        {"kind": "simplex", "dimension": 2, "scale": "x"},
+    ], ids=["radius", "vertices", "scale"])
+    def test_malformed_geometry_names_its_field(self, tmp_path, capsys, set_p):
+        path = write_spec(tmp_path, algorithm="alm", set_p=set_p)
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: spec.set_p:")
+
     def test_zero_max_iters_override_exits_three(self, tmp_path, capsys):
         path = write_spec(
             tmp_path,
@@ -364,6 +374,32 @@ def test_solve_outputs_match_golden(tmp_path, inst, rule):
     golden = json.loads(GOLDEN_SOLVE.read_text())
     got = solve_digests(tmp_path, inst, rule)
     assert got == {key: golden[key] for key in got}
+
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def test_solve_outputs_match_perfbench_golden(tmp_path, monkeypatch):
+    # Every trace digest the benchmark pins, at each recorded budget, from
+    # the spec its cli-long-runs workload writes for that pair.
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    from perfbench.workloads import FIXED_PAIRS
+
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    got = {}
+    for key in golden:
+        pair, algorithm, budget = key.rsplit(".", 2)
+        geom_p, geom_q, _intersecting = FIXED_PAIRS[pair]
+        dimension = len(geom_p.get("center", geom_p.get("lower")))
+        csv = tmp_path / f"{key}.csv"
+        path = write_spec(
+            tmp_path, name=f"{key}.json", dimension=dimension, set_p=geom_p, set_q=geom_q, algorithm=algorithm, step_rule="agnostic",
+            max_iters=int(budget), output=str(csv),
+        )
+        with redirect_stdout(io.StringIO()):
+            main(["solve", str(path)])
+        got[key] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert got == golden
 
 
 def main_record(argv: list[str]) -> int:
