@@ -89,7 +89,7 @@ class BlockProblem:
         return len(self.blocks)
 
 
-def distance_problem(set_p: OracleSet, set_q: OracleSet, *, lipschitz: float = 4.0) -> BlockProblem:
+def distance_problem(set_p: OracleSet, set_q: OracleSet) -> BlockProblem:
     """Two-block problem f(x, y) = ||x - y||^2, the set-intersection objective."""
 
     def value(points: Sequence[Array]) -> float:
@@ -105,7 +105,7 @@ def distance_problem(set_p: OracleSet, set_q: OracleSet, *, lipschitz: float = 4
         blocks=(set_p, set_q),
         value=value,
         grad_block=grad_block,
-        lipschitz=lipschitz,
+        lipschitz=4.0,
         block_lipschitz=(2.0, 2.0),
     )
 
@@ -290,9 +290,10 @@ def full_gap(problem: BlockProblem, point: Sequence[Array]) -> float:
     """
     total = 0.0
     for i, blk in enumerate(problem.blocks):
-        grad = as_vector(problem.grad_block(point, i), blk.dim, "gradient")
+        grad = problem.grad_block(point, i)
         if not np.all(np.isfinite(grad)):
             raise NumericsError(f"non-finite gradient in block {i}")
+        grad = as_vector(grad, blk.dim, "gradient")
         v = blk.lmo(grad)
         total += float(np.dot(grad, point[i] - v))
     return total

@@ -14,8 +14,9 @@ convexity rows keep sum(lam) + sum(kap) <= 2.  The screen takes y from
 the least-squares residual of A z = b and answers None when that bound
 exceeds FEASIBLE_TOL; a program it does not decide gets exactly the
 simplex answer.  ``hull_distance`` complements the yes/no answer with
-the actual distance between the hulls, via projected gradient descent
-on the product of weight simplices plus an active-set polish.
+the actual distance between the hulls, by Wolfe's minimum-norm-point
+method (fully corrective Frank-Wolfe), which returns only a distance
+its dual gap certifies.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import (
-    Array, DimensionMismatch, GeometryError, VPolytope, distinct_rows, project_to_simplex,
+    Array, DimensionMismatch, GeometryError, VPolytope, distinct_rows,
 )
 
 # Phase-1 objective at or below this value counts as feasible.
 FEASIBLE_TOL = 1e-9
-# hull_distance's descent: starting points in one batch, and its step limit.
-HULL_RESTARTS = 20
-HULL_DESCENT_ITERS = 600
+# hull_distance stops once its dual gap, in coordinates scaled to [1/2, 1), is this small.
+HULL_GAP_TOL = 2.0 ** -40
 
 
 def _points_matrix(points, name: str) -> Array:
@@ -213,56 +213,42 @@ def solve_feasibility(prog: FeasibilityProgram) -> FeasibleCombination | None:
     return FeasibleCombination(lam, kappa, 0.5 * (point_u + point_v), residual)
 
 
-def _polish(m_rows: Array, ka: int, w: Array) -> Array | None:
-    """Exact equality-QP solve on the active support of w.
+def _affine_minimizer(rows: Array, in_a: Array) -> Array:
+    """Weights minimizing ||rows^T w|| with each block's weights summing to 1.
 
-    Minimizes ||M^T w||^2 subject to the two unit-sum constraints with
-    inactive coordinates pinned at zero.  Coordinates turning negative
-    are dropped one at a time.  Returns an improved feasible w or None.
+    Solves the equality-constrained least-squares KKT system; the
+    weights may be negative.  ``in_a`` marks the rows of the first block.
     """
-    total = w.size
-    active = w > 1e-9
-    active[: ka][np.argmax(w[:ka])] = True
-    active[ka:][np.argmax(w[ka:])] = True
-    for _ in range(total):
-        idx = np.nonzero(active)[0]
-        p = idx.size
-        gram = m_rows[idx] @ m_rows[idx].T
-        cons = np.zeros((2, p))
-        cons[0, idx < ka] = 1.0
-        cons[1, idx >= ka] = 1.0
-        kkt = np.zeros((p + 2, p + 2))
-        kkt[:p, :p] = gram
-        kkt[:p, p:] = cons.T
-        kkt[p:, :p] = cons
-        rhs = np.zeros(p + 2)
-        rhs[p:] = 1.0
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:p]
-        if sol.min() >= -1e-12:
-            out = np.zeros(total)
-            out[idx] = np.maximum(sol, 0.0)
-            sa, sb = float(out[:ka].sum()), float(out[ka:].sum())
-            if sa <= 0.0 or sb <= 0.0:
-                return None
-            out[:ka] /= sa
-            out[ka:] /= sb
-            return out
-        worst = idx[int(np.argmin(sol))]
-        if active[:ka].sum() <= 1 and worst < ka:
-            return None
-        if active[ka:].sum() <= 1 and worst >= ka:
-            return None
-        active[worst] = False
-    return None
+    p = rows.shape[0]
+    kkt = np.zeros((p + 2, p + 2))
+    kkt[:p, :p] = rows @ rows.T
+    kkt[:p, p] = kkt[p, :p] = in_a
+    kkt[:p, p + 1] = kkt[p + 1, :p] = ~in_a
+    rhs = np.zeros(p + 2)
+    rhs[p:] = 1.0
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:p]
 
 
 def hull_distance(a_points, b_points, *, check_feasibility: bool = True) -> float:
-    """Distance between conv(A) and conv(B) to absolute accuracy ~1e-7.
+    """Distance between conv(A) and conv(B), certified by a dual gap.
 
-    Projected gradient descent on the product of weight simplices, run
-    from HULL_RESTARTS deterministic vertex-indexed starts in one
-    vectorized batch for at most HULL_DESCENT_ITERS steps, then an
-    active-set polish of the best candidate.  When
+    Wolfe's minimum-norm-point method (fully corrective Frank-Wolfe) on
+    x = A^T lam - B^T kap, after scaling every point by the power of two
+    2**-e that puts the largest coordinate in [1/2, 1).  Each step
+    minimizes <x, .> over each point list; the dual gap
+    g = ||x||^2 - (min_a <x, a> - max_b <x, b>) is the sum of the two
+    lists' shortfalls.  The step adds the minimizing point of the list
+    that falls shorter and re-solves the weights exactly on the support;
+    while a weight comes out negative, it steps back to where the first
+    weight reaches 0 and drops that point.
+
+    It stops once g <= HULL_GAP_TOL and returns r = 2**e ||x||, the
+    length of a segment between the hulls, so r >= distance.  Every
+    difference p of hull points has <x, p> >= ||x||^2 - g, so
+    r - distance <= min(G / r, r) <= sqrt(G) = 2**(e - 20), with
+    G = 4**e HULL_GAP_TOL.  A run that has not certified within
+    (|A| + |B|)(n + 2) steps, or whose minimizing point is already in
+    the support, raises RuntimeError instead.  When
     ``check_feasibility`` is set (the default) an LP solve first decides
     intersection, and intersecting hulls return exactly 0.0.
     """
@@ -274,41 +260,42 @@ def hull_distance(a_points, b_points, *, check_feasibility: bool = True) -> floa
         )
     if check_feasibility and solve_feasibility(FeasibilityProgram(a, b)) is not None:
         return 0.0
-    ka, kb = a.shape[0], b.shape[0]
-    if ka == 1 and kb == 1:
-        return float(np.linalg.norm(a[0] - b[0]))
+    ka = a.shape[0]
+    m_rows = np.vstack([a, -b])  # difference point x = M^T w
+    e = math.frexp(float(np.abs(m_rows).max()))[1]
+    m_rows = np.ldexp(m_rows, -e)
 
-    m_rows = np.vstack([a, -b])  # difference point = M^T w
-    gram = m_rows @ m_rows.T
-    lip = float(np.linalg.eigvalsh(gram).max())
-    if lip <= 0.0:
-        return float(np.linalg.norm(a[0] - b[0]))
-    step = 1.0 / lip
-
-    w = np.zeros((HULL_RESTARTS, ka + kb))
-    for r in range(HULL_RESTARTS):
-        w[r, r % ka] = 1.0
-        w[r, ka + (r // ka) % kb] = 1.0
-    for _ in range(HULL_DESCENT_ITERS):
-        grad = w @ gram
-        new = np.hstack(
-            [
-                project_to_simplex(w[:, :ka] - step * grad[:, :ka]),
-                project_to_simplex(w[:, ka:] - step * grad[:, ka:]),
-            ]
-        )
-        move = float(np.abs(new - w).max())
-        w = new
-        if move <= 1e-13:
-            break
-
-    dists = np.linalg.norm(w @ m_rows, axis=1)
-    best_row = int(np.argmin(dists))
-    best = float(dists[best_row])
-    polished = _polish(m_rows, ka, w[best_row])
-    if polished is not None:
-        best = min(best, float(np.linalg.norm(m_rows.T @ polished)))
-    return best
+    support = np.array([0, ka])
+    w = np.ones(2)
+    gap = math.inf
+    for _ in range(m_rows.shape[0] * (m_rows.shape[1] + 2)):
+        x = w @ m_rows[support]
+        s = m_rows @ x
+        i = int(np.argmin(s[:ka]))
+        j = ka + int(np.argmin(s[ka:]))
+        in_a = support < ka
+        short_a = float(w[in_a] @ s[support[in_a]]) - float(s[i])
+        short_b = float(w[~in_a] @ s[support[~in_a]]) - float(s[j])
+        gap = short_a + short_b
+        if gap <= HULL_GAP_TOL:
+            return math.ldexp(float(np.linalg.norm(x)), e)
+        new = i if short_a >= short_b else j
+        if new in support:
+            break  # x is not its support's exact minimizer, so no step helps
+        support = np.append(support, new)
+        w = np.append(w, 0.0)
+        y = _affine_minimizer(m_rows[support], support < ka)
+        while (neg := np.flatnonzero(y < 0.0)).size:
+            # Step back to where the first weight reaches 0, and drop that point.
+            ratio = w[neg] / (w[neg] - y[neg])
+            w = w + float(ratio.min()) * (y - w)
+            w[neg[np.argmin(ratio)]] = 0.0
+            support, w = support[w > 0.0], w[w > 0.0]
+            y = _affine_minimizer(m_rows[support], support < ka)
+        support, w = support[y > 0.0], y[y > 0.0]
+    raise RuntimeError(
+        f"hull_distance stopped uncertified: dual gap {gap:.3e} exceeds {HULL_GAP_TOL:.3e}"
+    )
 
 
 def epsilon_pq(set_p: VPolytope, set_q: VPolytope) -> float:

@@ -127,6 +127,32 @@ def random_feasibility_program(rng):
     return u, v
 
 
+def _point_segment_distance(p, a, b):
+    d = b - a
+    dd = float(np.dot(d, d))
+    t = 0.0 if dd == 0.0 else min(1.0, max(0.0, float(np.dot(p - a, d)) / dd))
+    return float(np.linalg.norm(p - (a + t * d)))
+
+
+def brute_hull_distance_2d(u, v):
+    """Distance between disjoint polygons conv(u) and conv(v) in the plane.
+
+    Some closest pair has a vertex of one polygon and a boundary point of
+    the other, so the minimum over every point of one list against every
+    segment between two points of the other (a point pair is a degenerate
+    segment) is exact; interior segments are never closer than the hull.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return min(
+        _point_segment_distance(p, a, b)
+        for pts, other in ((u, v), (v, u))
+        for p in pts
+        for a in other
+        for b in other
+    )
+
+
 def brute_distinct_rows(points):
     """The scalar dedup loop: kept rows in order, and per row whether it was kept."""
     kept = []

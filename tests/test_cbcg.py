@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -144,6 +145,14 @@ class TestFullGap:
         assert full_gap(problem, [x, y]) == pytest.approx(brute)
         assert brute == pytest.approx(8.0)
 
+    def test_nonfinite_gradient_is_a_numerics_error(self):
+        problem = BlockProblem(
+            [Box([0, 0], [1, 1])], lambda pts: 0.0, lambda pts, i: np.array([math.nan, 0.0]),
+            1.0, [1.0],
+        )
+        with pytest.raises(NumericsError, match="non-finite gradient in block 0"):
+            full_gap(problem, [np.zeros(2)])
+
     def test_linear_objective_zero_at_lmo_point(self):
         c = np.array([1.0, -2.0])
         poly = VPolytope([[0, 0], [1, 0], [0, 1]])
@@ -189,8 +198,8 @@ class TestRateBounds:
 
     def test_two_block_short_step_bound(self):
         # Distance objective between unit boxes, constants k=2, L=2, L_i=2.
-        problem = distance_problem(
-            Box([0, 0], [1, 1]), Box([0, 0], [1, 1]), lipschitz=2.0
+        problem = dataclasses.replace(
+            distance_problem(Box([0, 0], [1, 1]), Box([0, 0], [1, 1])), lipschitz=2.0
         )
         trace = cbcg_run(
             problem,

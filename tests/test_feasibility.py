@@ -19,7 +19,7 @@ from setmeet import (
 )
 from setmeet import alm, feasibility
 from setmeet.feasibility import FEASIBLE_TOL
-from helpers import brute_phase_one_simplex, random_feasibility_program
+from helpers import brute_hull_distance_2d, brute_phase_one_simplex, random_feasibility_program
 
 TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
 SEGMENT = np.array([[1.0, 1.0], [3.0, 1.0]])
@@ -332,6 +332,37 @@ class TestHullDistance:
                 infeasible_seen += 1
                 assert distance > 1e-6
         assert feasible_seen >= 30 and infeasible_seen >= 30
+
+
+    def test_matches_brute_force_on_disjoint_polygons(self):
+        # Normal clouds shifted along x, distances 0.41859 and 1.69506 first.
+        pairs = []
+        for seed, k in ((26, 10), (2, 6)):
+            rng = np.random.default_rng(seed)
+            pairs.append((rng.normal(size=(k, 2)), rng.normal(size=(k, 2)) + [3.0, 0.0]))
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            u = rng.normal(size=(int(rng.integers(1, 12)), 2))
+            v = rng.normal(size=(int(rng.integers(1, 12)), 2))
+            # Disjoint by construction: v starts right of every point of u.
+            v[:, 0] += u[:, 0].max() - v[:, 0].min() + rng.uniform(0.01, 2.0)
+            pairs.append((u, v))
+        for u, v in pairs:
+            assert hull_distance(u, v) == pytest.approx(brute_hull_distance_2d(u, v), abs=1e-12)
+
+    def test_uncertified_distance_raises(self, monkeypatch):
+        monkeypatch.setattr(feasibility, "HULL_GAP_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="uncertified"):
+            hull_distance(TRIANGLE, SEGMENT + [3.0, 0.0])
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            u, v = random_feasibility_program(rng)
+            k = int(rng.integers(-60, 61))
+            d = hull_distance(u, v, check_feasibility=False)
+            scaled = hull_distance(np.ldexp(u, k), np.ldexp(v, k), check_feasibility=False)
+            assert scaled == math.ldexp(d, k)
 
 
 class TestEpsilon:
