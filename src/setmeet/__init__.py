@@ -46,7 +46,6 @@ from .feasibility import (
     FeasibleCombination,
     epsilon_pq,
     hull_distance,
-    membership,
     phase_one_simplex,
     solve_feasibility,
 )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import alm, instances
 from .cbcg import RATE_SLACK, IterateTrace, StepRule, cbcg_run, check_rate_bounds
-from .feasibility import FeasibilityProgram, epsilon_pq, membership, solve_feasibility
+from .feasibility import FeasibilityProgram, epsilon_pq, solve_feasibility
 from .oracles import (
     Ball,
     Box,
@@ -171,8 +171,6 @@ def _certificate_path(output: str) -> Path:
     return p.with_name(p.stem + ".cert.json")
 
 
-# Overflow ends a run in NumericsError (exit 3); numpy's warnings would precede that line.
-@np.errstate(over="ignore", invalid="ignore")
 def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None,
                   out: str | None = None) -> int:
     """Execute a problem file; writes the trace CSV and certificate JSON."""
@@ -298,9 +296,7 @@ def _bench_adaptive() -> int:
         cert = alm.adaptive_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 10_000).certificate
         ok = isinstance(cert, alm.IntersectionPoint) and cert.lmo_calls <= budget
         if ok:
-            ok = membership(cert.point, inst.set_p.vertices) and membership(
-                cert.point, inst.set_q.vertices
-            )
+            ok = inst.set_p.contains(cert.point) and inst.set_q.contains(cert.point)
         failures += 0 if ok else 1
         print(
             f"{inst.name:<24} {cert.verdict:<14} {cert.lmo_calls:>6} {budget:>10.1f} "
@@ -401,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Overflow ends a command in an error (exit 3); numpy's warnings would precede its line.
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:

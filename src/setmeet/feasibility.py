@@ -13,10 +13,12 @@ objective from below by y.b - 2 max(0, max(A^T y)), since the two
 convexity rows keep sum(lam) + sum(kap) <= 2.  The screen takes y from
 the least-squares residual of A z = b and answers None when that bound
 exceeds FEASIBLE_TOL; a program it does not decide gets exactly the
-simplex answer.  ``hull_distance`` complements the yes/no answer with
-the actual distance between the hulls, by Wolfe's minimum-norm-point
-method (fully corrective Frank-Wolfe), which returns only a distance
-its dual gap certifies.
+simplex answer.  This LP is the one place that decides whether two
+hulls meet.  ``hull_distance`` answers the other hull questions, the
+distance between the hulls and (through ``VPolytope.contains``) whether
+a point lies in one, by Wolfe's minimum-norm-point method (fully
+corrective Frank-Wolfe), which returns only a distance its dual gap
+certifies.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ FEASIBLE_TOL = 1e-9
 HULL_GAP_TOL = 2.0 ** -40
 
 
-def _points_matrix(points, name: str) -> Array:
+def _points_matrix(points, name: str, dim: int | None = None) -> Array:
+    """Coerce to a nonempty finite 2-D float array, optionally of ``dim`` columns."""
     a = np.asarray(points, dtype=float)
     if a.ndim == 1:
         a = a.reshape(1, -1)
@@ -44,6 +47,8 @@ def _points_matrix(points, name: str) -> Array:
         raise GeometryError(f"{name} must be a nonempty list of points")
     if not np.all(np.isfinite(a)):
         raise GeometryError(f"{name} contains non-finite entries")
+    if dim is not None and a.shape[1] != dim:
+        raise DimensionMismatch(f"point lists have dimensions {dim} and {a.shape[1]}")
     return a
 
 
@@ -56,11 +61,7 @@ class FeasibilityProgram:
 
     def __post_init__(self):
         u = distinct_rows(_points_matrix(self.u_points, "u_points"))
-        v = distinct_rows(_points_matrix(self.v_points, "v_points"))
-        if u.shape[1] != v.shape[1]:
-            raise DimensionMismatch(
-                f"point lists have dimensions {u.shape[1]} and {v.shape[1]}"
-            )
+        v = distinct_rows(_points_matrix(self.v_points, "v_points", u.shape[1]))
         object.__setattr__(self, "u_points", u)
         object.__setattr__(self, "v_points", v)
 
@@ -88,8 +89,9 @@ def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
     reduced cost) and ratio-test ties leave the lowest basic index.
     Known limitation: the 1e-10 reduced-cost and 1e-12 ratio-tie
     tolerances break Bland's anti-cycling guarantee, so a degenerate
-    program can cycle until ``max_pivots`` and raise RuntimeError (a
-    point far outside a 300-vertex hull in 30-d does).
+    program can cycle until ``max_pivots`` and raise RuntimeError (the
+    program of a 300-vertex hull in 30-d against one point far outside
+    it does).
     """
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
@@ -229,7 +231,7 @@ def _affine_minimizer(rows: Array, in_a: Array) -> Array:
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:p]
 
 
-def hull_distance(a_points, b_points, *, check_feasibility: bool = True) -> float:
+def hull_distance(a_points, b_points) -> float:
     """Distance between conv(A) and conv(B), certified by a dual gap.
 
     Wolfe's minimum-norm-point method (fully corrective Frank-Wolfe) on
@@ -248,18 +250,12 @@ def hull_distance(a_points, b_points, *, check_feasibility: bool = True) -> floa
     r - distance <= min(G / r, r) <= sqrt(G) = 2**(e - 20), with
     G = 4**e HULL_GAP_TOL.  A run that has not certified within
     (|A| + |B|)(n + 2) steps, or whose minimizing point is already in
-    the support, raises RuntimeError instead.  When
-    ``check_feasibility`` is set (the default) an LP solve first decides
-    intersection, and intersecting hulls return exactly 0.0.
+    the support, raises RuntimeError instead.  Intersecting hulls are
+    not special: they return the certified r, at most 2**(e - 20).
+    Whether two hulls meet is ``solve_feasibility``'s question.
     """
     a = _points_matrix(a_points, "a_points")
-    b = _points_matrix(b_points, "b_points")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"point lists have dimensions {a.shape[1]} and {b.shape[1]}"
-        )
-    if check_feasibility and solve_feasibility(FeasibilityProgram(a, b)) is not None:
-        return 0.0
+    b = _points_matrix(b_points, "b_points", a.shape[1])
     ka = a.shape[0]
     m_rows = np.vstack([a, -b])  # difference point x = M^T w
     e = math.frexp(float(np.abs(m_rows).max()))[1]
@@ -302,10 +298,10 @@ def epsilon_pq(set_p: VPolytope, set_q: VPolytope) -> float:
     """Smallest positive distance among disjoint sub-hull pairs.
 
     Enumerates every nonempty subset pair of the two vertex lists, keeps
-    the pairs whose hulls do not intersect, and returns their minimum
-    hull distance.  Below this threshold, hulls of seen vertices are
-    guaranteed to intersect.  Returns +inf when no disjoint pair exists.
-    Exponential in the vertex counts; guarded to 16 vertices total.
+    the pairs whose hulls the LP finds disjoint, and returns their
+    minimum hull distance.  Below this threshold, hulls of seen vertices
+    are guaranteed to intersect.  Returns +inf when no disjoint pair
+    exists.  Exponential in the vertex counts; guarded to 16 vertices.
     """
     u = set_p.vertices
     v = set_q.vertices
@@ -316,13 +312,8 @@ def epsilon_pq(set_p: VPolytope, set_q: VPolytope) -> float:
         sub_u = u[[i for i in range(u.shape[0]) if mu >> i & 1]]
         for mv in range(1, 1 << v.shape[0]):
             sub_v = v[[j for j in range(v.shape[0]) if mv >> j & 1]]
-            d = hull_distance(sub_u, sub_v)
-            if d > 0.0:
-                best = min(best, d)
+            if solve_feasibility(FeasibilityProgram(sub_u, sub_v)) is None:
+                d = hull_distance(sub_u, sub_v)
+                if d > 0.0:
+                    best = min(best, d)
     return best
-
-
-def membership(point, vertices) -> bool:
-    """Whether ``point`` lies in the convex hull of ``vertices``."""
-    p = _points_matrix(point, "point")
-    return solve_feasibility(FeasibilityProgram(vertices, p)) is not None

@@ -122,9 +122,12 @@ def _tie_argmin(values: Array) -> int:
 
     A purely relative tolerance keeps the tie set invariant under
     positive rescaling of the objective direction, so c and 2c always
-    select the same vertex.
+    select the same vertex.  A non-finite minimum (an objective that
+    overflows, or NaN) has no minimizer to report and raises.
     """
     m = float(values.min())
+    if not math.isfinite(m):
+        raise GeometryError(f"non-finite minimum {m!r} in linear minimization")
     tol = TIE_REL_TOL * abs(m)
     return int(np.nonzero(values <= m + tol)[0][0])
 
@@ -207,6 +210,10 @@ class Ball:
     def lmo(self, c) -> Array:
         c = as_vector(c, self.dim, "direction")
         norm = float(np.linalg.norm(c))
+        if not 2.0 ** -511 <= norm < math.inf and np.any(c):
+            # ||c||^2 overflowed or underflowed: scale c by a power of two.
+            c = np.ldexp(c, -int(np.frexp(np.abs(c).max())[1]))
+            norm = float(np.linalg.norm(c))
         if norm == 0.0:
             # All-way tie: lexicographically smallest boundary point.
             v = self.center.copy()
@@ -394,6 +401,8 @@ class VPolytope:
         return float(np.sqrt(((v[i] - v[j]) ** 2).sum(axis=1).max()))
 
     def contains(self, x, tol: float = 1e-7) -> bool:
+        """Whether ``hull_distance``, never below the true distance and at most
+        ``2**(e - 20)`` above it (``2**e`` bounding every coordinate), is <= ``tol``."""
         x = as_vector(x, self.dim, "point")
         from .feasibility import hull_distance
 

@@ -20,7 +20,6 @@ from setmeet import (
     distance_problem,
     epsilon_pq,
     hull_distance,
-    membership,
     pocs_run,
     solve_feasibility,
     threshold_exceeded,
@@ -165,8 +164,8 @@ def test_05_adaptive_recovery_budget():
         good = (
             isinstance(cert, IntersectionPoint)
             and cert.lmo_calls <= budget
-            and membership(cert.point, inst.set_p.vertices)
-            and membership(cert.point, inst.set_q.vertices)
+            and inst.set_p.contains(cert.point, tol=1e-9)
+            and inst.set_q.contains(cert.point, tol=1e-9)
         )
         ok = ok and good
         lines.append(f"{inst.name}={cert.lmo_calls}/{budget:.0f}")
@@ -308,7 +307,7 @@ def test_09_numerical_hygiene():
     for _ in range(200):
         u, v = random_feasibility_program(rng2)
         feasible = solve_feasibility(FeasibilityProgram(u, v)) is not None
-        distance = hull_distance(u, v, check_feasibility=False)
+        distance = hull_distance(u, v)
         lp_ok = lp_ok and (feasible == (distance <= 1e-6))
 
     ok = proj_ok and min_dist_ok and lp_ok

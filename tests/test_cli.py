@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from setmeet import (
-    Ball, Box, L1Ball, Simplex, VPolytope, membership, support_gap, supports_projection,
+    Ball, Box, L1Ball, Simplex, VPolytope, support_gap, supports_projection,
 )
 from setmeet.cli import main, parse_problem_spec
 from setmeet.instances import TWO_SET_INSTANCES
@@ -47,8 +47,8 @@ class TestSolve:
         assert cert["verdict"] == "intersection"
         assert np.allclose(cert["point"], [1.0, 1.0], atol=1e-7)
         # Certificate re-validates against the geometry.
-        assert membership(np.array(cert["point"]), np.array(TRI_P["vertices"]))
-        assert membership(np.array(cert["point"]), np.array(SEG_TOUCH["vertices"]))
+        assert VPolytope(TRI_P["vertices"]).contains(cert["point"], tol=1e-9)
+        assert VPolytope(SEG_TOUCH["vertices"]).contains(cert["point"], tol=1e-9)
 
     def test_disjoint_segments_exit_one(self, tmp_path):
         path = write_spec(tmp_path, set_p=SEG_LEFT, set_q=SEG_RIGHT)
@@ -247,23 +247,39 @@ class TestProbes:
         assert main(["feastest", str(path)]) == 3
 
 
+GOLDEN_BENCH = Path(__file__).with_name("golden_bench.json")
+BENCH_SUITES = ("rates", "certificates", "adaptive", "pocs-vs-alm")
+
+
+def bench_digest(suite: str) -> tuple[int, str, str]:
+    """Exit code, stdout and the stdout's sha256 of `setmeet bench <suite>`."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["bench", suite])
+    return rc, out.getvalue(), hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def run_bench(suite: str) -> str:
+    # The tables themselves are pinned: every row, not only the verdict line.
+    rc, out, digest = bench_digest(suite)
+    assert rc == 0
+    assert digest == json.loads(GOLDEN_BENCH.read_text())[suite], out
+    return out
+
+
 class TestBench:
-    def test_pocs_vs_alm_table(self, capsys):
-        assert main(["bench", "pocs-vs-alm"]) == 0
-        out = capsys.readouterr().out
+    def test_pocs_vs_alm_table(self):
+        out = run_bench("pocs-vs-alm")
         assert "projections" in out and "all ok" in out
 
-    def test_certificates_suite(self, capsys):
-        assert main(["bench", "certificates"]) == 0
-        assert "all ok" in capsys.readouterr().out
+    def test_certificates_suite(self):
+        assert "all ok" in run_bench("certificates")
 
-    def test_rates_suite(self, capsys):
-        assert main(["bench", "rates"]) == 0
-        assert "all ok" in capsys.readouterr().out
+    def test_rates_suite(self):
+        assert "all ok" in run_bench("rates")
 
-    def test_adaptive_suite(self, capsys):
-        assert main(["bench", "adaptive"]) == 0
-        assert "all ok" in capsys.readouterr().out
+    def test_adaptive_suite(self):
+        assert "all ok" in run_bench("adaptive")
 
 
 def test_parse_problem_spec_fields(tmp_path):
@@ -289,14 +305,19 @@ def test_numerics_error_exits_three(tmp_path, capsys, algorithm):
     assert capsys.readouterr().err.startswith("error: non-finite")
 
 
-@pytest.mark.parametrize("algorithm", ["alm", "alm-adaptive", "cbcg", "pocs"])
+@pytest.mark.parametrize("algorithm", ["alm", "alm-adaptive", "cbcg", "pocs", "lmo"])
 def test_overflow_prints_only_the_error_line(tmp_path, capsys, algorithm):
     # No numpy overflow warning ahead of the error, and pocs does not report
-    # the overflowed run as undecided.
-    path = write_spec(tmp_path, algorithm=algorithm, max_iters=10, **BIG_BALLS)
+    # the overflowed run as undecided.  The lmo probe's objective overflows.
+    if algorithm == "lmo":
+        huge = {"kind": "vpolytope", "vertices": [[1e308, 0], [-1e308, 0]]}
+        argv = ["lmo", str(write_spec(tmp_path, set_p=huge, set_q=huge)), "--direction", "10,0"]
+    else:
+        path = write_spec(tmp_path, algorithm=algorithm, max_iters=10, **BIG_BALLS)
+        argv = ["solve", str(path)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["solve", str(path)]) == 3
+        assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite ") and err.count("\n") == 1, err
 
@@ -402,28 +423,39 @@ def test_solve_outputs_match_perfbench_golden(tmp_path, monkeypatch):
     assert got == golden
 
 
-def main_record(argv: list[str]) -> int:
-    """Compare `setmeet solve` with the golden digests; rewrite them only with --write."""
-    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
-        record = {}
-        for inst in TWO_SET_INSTANCES:
-            for rule in RULE_NAMES:
-                record.update(solve_digests(Path(tmp), inst, rule))
-    golden = json.loads(GOLDEN_SOLVE.read_text())
+def compare_golden(path: Path, record: dict, write: bool, what: str) -> int:
+    """Print the entries of ``record`` that differ from ``path``; rewrite it if ``write``."""
+    golden = json.loads(path.read_text())
     changed = sorted(key for key in golden.keys() | record.keys()
                      if golden.get(key) != record.get(key))
     for key in changed:
         old, new = (json.dumps(d.get(key), sort_keys=True) for d in (golden, record))
         print(f"{key}: {old} -> {new}")
-    if "--write" in argv:
-        GOLDEN_SOLVE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(record)} entries to {GOLDEN_SOLVE.name}")
+    if write:
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(record)} {what} to {path.name}")
         return 0
-    print(f"{len(changed)} of {len(record)} entries differ")
+    print(f"{len(changed)} of {len(record)} {what} differ")
+    return len(changed)
+
+
+def main_record(argv: list[str]) -> int:
+    """Compare `setmeet solve` and `setmeet bench` with the golden digests;
+    rewrite them only with --write."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        record = {}
+        for inst in TWO_SET_INSTANCES:
+            for rule in RULE_NAMES:
+                record.update(solve_digests(Path(tmp), inst, rule))
+    benches = {suite: bench_digest(suite)[2] for suite in BENCH_SUITES}
+    write = "--write" in argv
+    changed = compare_golden(GOLDEN_SOLVE, record, write, "entries")
+    changed += compare_golden(GOLDEN_BENCH, benches, write, "bench suites")
     return 1 if changed else 0
 
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_cli.py [--write]
-    # Lists the entries whose digests differ, old -> new; --write re-records them.
+    # Lists the solve entries and bench suites whose digests differ, old -> new;
+    # --write re-records both files.
     sys.exit(main_record(sys.argv[1:]))

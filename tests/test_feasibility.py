@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from setmeet import (
     adaptive_run,
     epsilon_pq,
     hull_distance,
-    membership,
     phase_one_simplex,
     solve_feasibility,
 )
@@ -306,10 +307,9 @@ class TestHullDistance:
         d = hull_distance([[0.0, 0.0]], [[1.0, -1.0], [1.0, 1.0]])
         assert d == pytest.approx(1.0, abs=1e-7)
 
-    def test_independent_of_lp_when_disabled(self):
-        # Intersecting hulls still come out (numerically) zero from the
-        # gradient path alone.
-        d = hull_distance(TRIANGLE, SEGMENT, check_feasibility=False)
+    def test_intersecting_hulls_measure_near_zero(self):
+        # Intersecting hulls come out (numerically) zero from Wolfe's method alone.
+        d = hull_distance(TRIANGLE, SEGMENT)
         assert d <= 1e-6
 
     def test_obtuse_faces(self):
@@ -324,7 +324,7 @@ class TestHullDistance:
         for _ in range(200):
             u, v = random_feasibility_program(rng)
             feasible = solve_feasibility(FeasibilityProgram(u, v)) is not None
-            distance = hull_distance(u, v, check_feasibility=False)
+            distance = hull_distance(u, v)
             if feasible:
                 feasible_seen += 1
                 assert distance <= 1e-6
@@ -360,8 +360,8 @@ class TestHullDistance:
         for _ in range(300):
             u, v = random_feasibility_program(rng)
             k = int(rng.integers(-60, 61))
-            d = hull_distance(u, v, check_feasibility=False)
-            scaled = hull_distance(np.ldexp(u, k), np.ldexp(v, k), check_feasibility=False)
+            d = hull_distance(u, v)
+            scaled = hull_distance(np.ldexp(u, k), np.ldexp(v, k))
             assert scaled == math.ldexp(d, k)
 
 
@@ -379,16 +379,15 @@ class TestEpsilon:
         p = VPolytope([[0.0, 0.0], [4.0, 0.0]])
         q = VPolytope([[1.0, 1.0], [3.0, 1.0], [2.0, -1.0]])
         eps = epsilon_pq(p, q)
-        # Re-enumerate here, pair by pair.
+        # Re-enumerate here, pair by pair; the LP decides which pairs are disjoint.
         best = math.inf
         pk, qk = p.vertices.shape[0], q.vertices.shape[0]
         for mu in range(1, 1 << pk):
             sub_u = p.vertices[[i for i in range(pk) if mu >> i & 1]]
             for mv in range(1, 1 << qk):
                 sub_v = q.vertices[[j for j in range(qk) if mv >> j & 1]]
-                d = hull_distance(sub_u, sub_v)
-                if d > 0.0:
-                    best = min(best, d)
+                if solve_feasibility(FeasibilityProgram(sub_u, sub_v)) is None:
+                    best = min(best, hull_distance(sub_u, sub_v))
         assert eps == pytest.approx(best, abs=1e-9)
 
     def test_soundness_every_disjoint_pair_at_least_eps(self):
@@ -400,9 +399,8 @@ class TestEpsilon:
             sub_u = p.vertices[[i for i in range(pk) if mu >> i & 1]]
             for mv in range(1, 1 << qk):
                 sub_v = q.vertices[[j for j in range(qk) if mv >> j & 1]]
-                d = hull_distance(sub_u, sub_v)
-                if d > 0.0:
-                    assert d >= eps - 1e-9
+                if solve_feasibility(FeasibilityProgram(sub_u, sub_v)) is None:
+                    assert hull_distance(sub_u, sub_v) >= eps - 1e-9
 
     def test_size_guard(self):
         big = VPolytope(np.random.default_rng(0).normal(size=(9, 2)))
@@ -413,14 +411,59 @@ class TestEpsilon:
 
 class TestMembership:
     def test_boundary_point(self):
-        assert membership([1.0, 1.0], TRIANGLE)
+        assert VPolytope(TRIANGLE).contains([1.0, 1.0], tol=1e-9)
 
     def test_outside_point(self):
-        assert not membership([2.0, 2.0], TRIANGLE)
+        assert not VPolytope(TRIANGLE).contains([2.0, 2.0], tol=1e-9)
 
     def test_vertex(self):
-        assert membership([0.0, 2.0], TRIANGLE)
+        assert VPolytope(TRIANGLE).contains([0.0, 2.0], tol=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            membership([1.0, 1.0, 1.0], TRIANGLE)
+            VPolytope(TRIANGLE).contains([1.0, 1.0, 1.0], tol=1e-9)
+
+    def test_tolerance_means_distance_at_every_scale(self):
+        # Points 1e-6 and 1e-5 beyond the vertex extreme along a unit c lie at
+        # least that far outside; vertices and convex combinations lie inside.
+        rng = np.random.default_rng(10)
+        for scale, tol in itertools.product((1.0, 1e2, 1e3, 1e4), (1e-7, 1e-8)):
+            for _ in range(20):
+                d = int(rng.integers(2, 7))
+                poly = VPolytope(scale * rng.normal(size=(int(rng.integers(d + 1, 4 * d)), d)))
+                v = poly.vertices
+                c = rng.normal(size=d)
+                c /= np.linalg.norm(c)
+                far = v[int(np.argmax(v @ c))]
+                for delta in (1e-6, 1e-5):
+                    assert not poly.contains(far + delta * c, tol=tol), (scale, delta)
+                for i in rng.choice(len(v), size=3):
+                    assert poly.contains(v[i], tol=tol), scale
+                for w in rng.dirichlet(np.ones(len(v)), size=3):
+                    assert poly.contains(v.T @ w, tol=tol), scale
+
+    def test_far_point_of_a_large_polytope_answers_quickly(self):
+        # The phase-1 LP of this point cycles to its pivot limit.
+        poly = VPolytope(np.random.default_rng(0).normal(size=(300, 30)))
+        start = time.perf_counter()
+        assert not poly.contains(3.0 * poly.vertices[0])
+        assert time.perf_counter() - start < 2.0
+
+    def test_near_miss_answers_at_its_distance(self):
+        # Draw 14: a point 1.1e-7 outside a 4-vertex hull in 3-d, whose
+        # phase-1 LP ends with a residual above the feasibility check's.
+        rng = np.random.default_rng(2)
+        for _ in range(15):
+            u, v = _near_miss_pair(rng)
+        poly = VPolytope(u)
+        assert not poly.contains(v[0], tol=1e-7)
+        assert poly.contains(v[0], tol=2e-7)
+
+    def test_answers_without_the_lp(self, monkeypatch):
+        def fail(program):
+            raise AssertionError("membership solved an LP")
+
+        monkeypatch.setattr(feasibility, "solve_feasibility", fail)
+        poly = VPolytope(TRIANGLE)
+        assert poly.contains([0.5, 0.5]) and poly.contains([0.0, 2.0])
+        assert not poly.contains([2.0, 2.0])

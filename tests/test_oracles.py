@@ -41,6 +41,24 @@ class TestLmo:
         expected = -3.0 * c / np.linalg.norm(c)
         assert np.allclose(ball.lmo(c), expected, atol=1e-15)
 
+    def test_ball_direction_whose_square_norm_overflows_or_underflows(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        half = math.sqrt(0.5)
+        with np.errstate(over="ignore"):
+            assert np.allclose(ball.lmo([1e200, 1e200]), [-half, -half], atol=1e-15)
+            # Overlapping balls: no direction may claim a separation.
+            assert support_gap(ball, Ball([1.5, 0.0], 1.0), [-1e200, 0.0]) < 0.0
+        assert np.allclose(ball.lmo([1e-170, -1e-170]), [-half, half], atol=1e-15)
+        assert np.array_equal(ball.lmo([5e-324, 0.0]), [-1.0, 0.0])
+        assert np.array_equal(ball.lmo([-0.0, 0.0]), [-1.0, 0.0])  # the all-way tie
+
+    def test_nonfinite_objective_minimum_is_a_geometry_error(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(GeometryError, match="non-finite minimum"):
+                VPolytope([[1e308, 0.0], [-1e308, 0.0]]).lmo([10.0, 0.0])
+            with pytest.raises(GeometryError, match="non-finite minimum"):
+                Simplex(2, 1e308).lmo([-10.0, 1.0])
+
     def test_vpolytope_brute(self):
         vertices = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         poly = VPolytope(vertices)
