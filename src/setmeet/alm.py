@@ -62,6 +62,7 @@ from .oracles import (
     DimensionMismatch,
     GeometryError,
     OracleSet,
+    euclidean_norm,
     support_gap,
 )
 
@@ -304,14 +305,26 @@ def certify_disjoint_parameterized(
 
 
 def certificate_tolerance(gap_norm: float, d_p: float, d_q: float) -> float:
-    """Scale-aware guard for strict positivity of the separation margin."""
+    """Scale-aware guard for strict positivity of the separation margin.
+
+    Never below MARGIN_FLOOR = 1e-10, its value at zero norm and diameters,
+    since ``gap_norm * (d_p + d_q)`` is nonnegative (or NaN, which no margin
+    beats).
+    """
     return 1e-10 * (1.0 + gap_norm * (d_p + d_q))
+
+
+MARGIN_FLOOR = certificate_tolerance(0.0, 0.0, 0.0)
 
 
 def separates(g: Array, margin: float, d_p: float, d_q: float) -> bool:
     """The separation test: ``margin`` = min_{x in P, y in Q} <g, x - y> beats
-    rounding noise, so the hyperplane normal to g separates P and Q."""
-    return margin > certificate_tolerance(float(np.linalg.norm(g)), d_p, d_q)
+    rounding noise, so the hyperplane normal to g separates P and Q.
+
+    False for every margin at or below MARGIN_FLOOR, whatever the diameters,
+    so a caller may skip measuring them until a margin exceeds it.
+    """
+    return margin > certificate_tolerance(euclidean_norm(g), d_p, d_q)
 
 
 def certify_disjoint_free(state: AlmState) -> Disjoint | None:
@@ -322,7 +335,7 @@ def certify_disjoint_free(state: AlmState) -> Disjoint | None:
     """
     g = state.x - state.y
     m = support_gap(state.set_p, state.set_q, g)
-    if separates(g, m, state.set_p.diameter(), state.set_q.diameter()):
+    if m > MARGIN_FLOOR and separates(g, m, state.set_p.diameter(), state.set_q.diameter()):
         return Disjoint(g.copy(), m, state.lmo_calls, state.t)
     return None
 
@@ -371,8 +384,7 @@ def adaptive_run(
     """
     problem, trace, points, calls = _begin(set_p, set_q, rule, max_iters, start)
     comb_x, comb_y = trace.combinations
-    d_p = set_p.diameter()
-    d_q = set_q.diameter()
+    diameters: tuple[float, float] | None = None  # measured once a margin may certify
 
     cached_u: Array | None = None
     lp_support_size = -1
@@ -381,7 +393,7 @@ def adaptive_run(
     contact = False
 
     for t in range(max_iters + 1):
-        dist = float(np.linalg.norm(points[0] - points[1]))
+        dist = euclidean_norm(points[0] - points[1])
         best_distance = min(best_distance, dist)
         if dist <= CONTACT_TOL:
             contact = True
@@ -401,9 +413,11 @@ def adaptive_run(
             # The next iteration's first LMO uses this same direction.
             cached_u = a
             margin = float(np.dot(g, a) - np.dot(g, b))
-            if separates(g, margin, d_p, d_q):
-                certificate = Disjoint(g.copy(), margin, calls, t + 1)
-                break
+            if margin > MARGIN_FLOOR:
+                diameters = diameters or (set_p.diameter(), set_q.diameter())
+                if separates(g, margin, *diameters):
+                    certificate = Disjoint(g.copy(), margin, calls, t + 1)
+                    break
             if len(comb_x.rows) + len(comb_y.rows) != lp_support_size:
                 lp_support_size = len(comb_x.rows) + len(comb_y.rows)
                 calls += 1

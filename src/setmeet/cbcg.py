@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracles import Array, GeometryError, OracleSet, VertexSet, as_vector
+from .oracles import Array, GeometryError, OracleSet, VertexSet, _appended, as_vector
 
 # Short-step displacements below this are treated as "already at the
 # block's LMO point": step zero instead of dividing by ~0.
@@ -116,11 +116,15 @@ class ConvexCombination(VertexSet):
     Every distinct point offered is a row, a point offered at gamma = 0 at
     weight 0; a step's weight goes to the row its vertex duplicates, so
     ``combination()`` lies within DEDUP_TOL of the iterate.
+
+    ``weights`` is a view into a doubling buffer, as ``rows`` is: a taken
+    ``weights`` keeps its shape and is not touched by ``add``, but ``step``
+    rescales the weights in place, and so every view of them.
     """
 
     def __init__(self, start: Array):
-        self.rows = np.array(start, dtype=float)[None]
-        self.weights = np.ones(1)
+        self._buf = self.rows = np.array(start, dtype=float)[None]
+        self._wbuf = self.weights = np.ones(1)
 
     @property
     def support(self) -> Array:
@@ -129,7 +133,8 @@ class ConvexCombination(VertexSet):
     def index(self, v: Array) -> int:
         j = super().index(v)
         if j == self.weights.size:
-            self.weights = np.append(self.weights, 0.0)
+            self._wbuf = _appended(self._wbuf, j, 0.0)
+            self.weights = self._wbuf[:j + 1]
         return j
 
     def step(self, vertex: Array, gamma: float) -> None:
@@ -232,7 +237,7 @@ def block_step(
         raise GeometryError(
             f"block {i} gradient has shape {grad.shape}, expected ({problem.blocks[i].dim},)"
         )
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericsError(f"non-finite gradient at iteration {t}")
     full = full_gap(problem, points) if record_full_gap and i == 0 else None
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import (
-    Array, DimensionMismatch, GeometryError, VPolytope, distinct_rows,
+    Array, DimensionMismatch, GeometryError, VPolytope, distinct_rows, euclidean_norm,
 )
 
 # Phase-1 objective at or below this value counts as feasible.
@@ -119,7 +119,7 @@ def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
         # Ratio test over the rows with a positive entry, scanned in row order:
         # best_ratio drifts with each tie, so the scan's order matters.
         col = t[:m, enter]
-        rows = np.flatnonzero(col > 1e-10)
+        rows = (col > 1e-10).nonzero()[0]
         leave = -1
         best_ratio = math.inf
         for i, ratio, b_i in zip(rows.tolist(), (t[rows, -1] / col[rows]).tolist(),
@@ -164,7 +164,7 @@ def _normalised_program(prog: FeasibilityProgram) -> tuple[Array, Array]:
 
     # Unit row norms keep the phase-1 tolerance uniform across scales.
     for i in range(n + 2):
-        norm = float(np.linalg.norm(a[i]))
+        norm = euclidean_norm(a[i])
         if norm > 1e-12:
             a[i] /= norm
             b[i] /= norm

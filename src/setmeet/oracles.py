@@ -59,18 +59,43 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> Array:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise GeometryError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise GeometryError(f"{name} contains non-finite entries")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"{name} has dimension {v.size}, expected {dim}")
     return v
 
 
+def euclidean_norm(x: Array) -> float:
+    """``np.linalg.norm`` of a 1-D float array, bit for bit and without its
+    Python overhead: the same BLAS dot over the same ``ravel(order="K")``,
+    then ``sqrt``.  ``vdot`` skips the floating-point check that ``dot``
+    makes, so a square that overflows gives ``inf`` without a warning."""
+    x = x.ravel(order="K")
+    return math.sqrt(np.vdot(x, x))
+
+
+def _appended(buf: Array, n: int, value) -> Array:
+    """``buf`` with ``value`` written at index ``n``; a full buffer doubles first."""
+    if n == len(buf):
+        grown = np.empty((max(2 * n, 1),) + buf.shape[1:])
+        grown[:n] = buf
+        buf = grown
+    buf[n] = value
+    return buf
+
+
 class VertexSet:
     """Distinct points in insertion order, as the ``(n, d)`` array ``rows``.
 
-    A point that ``np.linalg.norm`` puts within DEDUP_TOL of a kept row is
+    A point that ``euclidean_norm`` puts within DEDUP_TOL of a kept row is
     that row; a row-sum scan, widened for its rounding, finds the candidates.
+
+    ``rows`` is a view of the first n rows of a buffer whose capacity
+    doubles when full.  A new point is written past the end of every view
+    already handed out, and a full buffer is copied, never overwritten, so
+    a ``rows`` array taken earlier keeps its shape and bits while the store
+    grows; it does not see the later rows.
     """
 
     def __init__(self, points: Array):
@@ -87,18 +112,21 @@ class VertexSet:
                 earlier = np.flatnonzero(near[i] & keep[:hi])
                 v = points[lo + i]
                 keep[lo + i] = all(
-                    float(np.linalg.norm(v - points[j])) > DEDUP_TOL for j in earlier
+                    euclidean_norm(v - points[j]) > DEDUP_TOL for j in earlier
                 )
-        self.rows = points[keep]
+        self._buf = self.rows = points[keep]
 
     def index(self, v: Array) -> int:
         """Row of the first kept point that ``v`` duplicates; appends ``v`` if none."""
-        near = np.flatnonzero(((self.rows - v) ** 2).sum(axis=1) <= _NEAR_SQ)
+        rows = self.rows
+        near = (((rows - v) ** 2).sum(axis=1) <= _NEAR_SQ).nonzero()[0]
         for j in near:
-            if float(np.linalg.norm(v - self.rows[j])) <= DEDUP_TOL:
+            if euclidean_norm(v - rows[j]) <= DEDUP_TOL:
                 return int(j)
-        self.rows = np.vstack([self.rows, v])
-        return len(self.rows) - 1
+        n = len(rows)
+        self._buf = _appended(self._buf, n, v)
+        self.rows = self._buf[:n + 1]
+        return n
 
     def add(self, v: Array) -> bool:
         """Keep ``v`` unless it duplicates a kept row; True if kept."""
@@ -129,7 +157,7 @@ def _tie_argmin(values: Array) -> int:
     if not math.isfinite(m):
         raise GeometryError(f"non-finite minimum {m!r} in linear minimization")
     tol = TIE_REL_TOL * abs(m)
-    return int(np.nonzero(values <= m + tol)[0][0])
+    return int((values <= m + tol).argmax())
 
 
 def project_to_simplex(z: Array, scale: float = 1.0) -> Array:
@@ -209,11 +237,11 @@ class Ball:
 
     def lmo(self, c) -> Array:
         c = as_vector(c, self.dim, "direction")
-        norm = float(np.linalg.norm(c))
+        norm = euclidean_norm(c)
         if not 2.0 ** -511 <= norm < math.inf and np.any(c):
             # ||c||^2 overflowed or underflowed: scale c by a power of two.
             c = np.ldexp(c, -int(np.frexp(np.abs(c).max())[1]))
-            norm = float(np.linalg.norm(c))
+            norm = euclidean_norm(c)
         if norm == 0.0:
             # All-way tie: lexicographically smallest boundary point.
             v = self.center.copy()

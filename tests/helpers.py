@@ -8,11 +8,16 @@ differences.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 
-from setmeet import Ball, Box, L1Ball, Simplex, StepRule, VPolytope, support_gap
+from setmeet import (
+    Ball, Box, Disjoint, IntersectionPoint, L1Ball, Simplex, StepRule, VPolytope,
+    adaptive_run, alm_run, support_gap,
+)
+from setmeet.instances import ADAPTIVE_INSTANCES, TWO_SET_INSTANCES
 from setmeet.oracles import DEDUP_TOL
 
 
@@ -223,3 +228,82 @@ def brute_phase_one_simplex(a_eq, b_eq, *, max_pivots=100_000):
     for i, bi in enumerate(basis):
         z[bi] = t[i, -1]
     return float(-t[m, -1]), z[:n]
+
+
+class VstackStore:
+    """The plain store: a copied ``np.vstack``/``np.append`` per new row,
+    dedup by ``np.linalg.norm`` within DEDUP_TOL of a kept row."""
+
+    def __init__(self, start):
+        self.rows = np.array(start, dtype=float)[None]
+        self.weights = np.ones(1)
+
+    def index(self, v):
+        for j, row in enumerate(self.rows):
+            if float(np.linalg.norm(v - row)) <= DEDUP_TOL:
+                return j
+        self.rows = np.vstack([self.rows, v])
+        self.weights = np.append(self.weights, 0.0)
+        return len(self.rows) - 1
+
+    def add(self, v):
+        n = len(self.rows)
+        return self.index(v) == n
+
+    def step(self, vertex, gamma):
+        self.weights *= 1.0 - gamma
+        self.weights[self.index(vertex)] += gamma
+
+    def combination(self):
+        return self.rows.T @ self.weights
+
+
+RUN_BUDGETS = (7, 50, 300)
+
+
+def _digest(*parts) -> str:
+    """sha256 over the shape and float64 bytes of each part."""
+    h = hashlib.sha256()
+    for part in parts:
+        a = np.ascontiguousarray(part, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def run_digests(result) -> dict:
+    """Digests of a run: trace rows and final points, both stores, the certificate."""
+    trace, state, cert = result.trace, result.state, result.certificate
+    rows = [
+        (r.t, r.block, r.objective, r.block_gap, r.gamma, r.lmo_calls,
+         math.nan if r.full_gap is None else r.full_gap)
+        for r in trace.rows
+    ]
+    counts = (cert.lmo_calls, cert.iterations, state.lmo_calls, state.t)
+    if isinstance(cert, IntersectionPoint):
+        arrays = (cert.point, cert.weights_p, np.array(cert.support_p),
+                  cert.weights_q, np.array(cert.support_q))
+    elif isinstance(cert, Disjoint):
+        arrays = (cert.direction, cert.margin)
+    else:
+        arrays = (cert.best_distance,)
+    return {
+        "trace": _digest(np.reshape(rows, (-1, 7)), *trace.final_points, trace.final_objective),
+        "stores": _digest(*(a for comb in trace.combinations for a in (comb.rows, comb.weights))),
+        "cert": cert.verdict + ":" + _digest(counts, *arrays),
+    }
+
+
+def golden_run_record() -> dict:
+    """``run_digests`` of ``alm_run`` and ``adaptive_run`` on every instance-table
+    entry, under both rules, at each of RUN_BUDGETS."""
+    record = {}
+    tables = (("two", TWO_SET_INSTANCES), ("adaptive", ADAPTIVE_INSTANCES))
+    for table, instances in tables:
+        for inst in instances:
+            for rule in StepRule:
+                for budget in RUN_BUDGETS:
+                    for solver, run in (("alm", alm_run), ("adaptive", adaptive_run)):
+                        key = f"{table}/{inst.name}/{rule.value}/{budget}/{solver}"
+                        record[key] = run_digests(run(inst.set_p, inst.set_q, rule, budget))
+    return record

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from setmeet import (
     Disjoint,
     GeometryError,
     IntersectionPoint,
+    L1Ball,
     RATE_CONSTANT,
+    Simplex,
     StepRule,
     Undecided,
     VPolytope,
@@ -26,7 +29,7 @@ from setmeet import (
     support_gap,
     threshold_exceeded,
 )
-from setmeet.instances import TWO_SET_INSTANCES
+from setmeet.instances import ADAPTIVE_INSTANCES, TWO_SET_INSTANCES
 from setmeet.oracles import DEDUP_TOL
 from helpers import brute_support_gap, kept_duals, kept_margins, midpoint_gap, primal_bound
 
@@ -143,6 +146,31 @@ class TestRecord:
         assert result.state.lmo_calls == 1002
         assert counts == {"lmo": 1002 + 2, "project": 0}
         assert isinstance(result.certificate, Disjoint)
+
+    @pytest.mark.parametrize("run", [alm_run, adaptive_run], ids=lambda run: run.__name__)
+    def test_diameters_only_when_a_margin_can_certify(self, monkeypatch, run):
+        # Below the 1e-10 floor no margin separates, so only disjoint runs
+        # measure diameters, each set's at most once.
+        counts = collections.Counter()
+        for cls in (Box, Ball, Simplex, L1Ball, VPolytope):
+            def counted(self, _method=cls.diameter):
+                counts[id(self)] += 1
+                return _method(self)
+
+            monkeypatch.setattr(cls, "diameter", counted)
+        cases = [(inst.set_p, inst.set_q, inst.intersecting) for inst in TWO_SET_INSTANCES]
+        cases += [(inst.set_p, inst.set_q, True) for inst in ADAPTIVE_INSTANCES]
+        for set_p, set_q, intersecting in cases:
+            for rule in RULES:
+                counts.clear()
+                result = run(set_p, set_q, rule, 300)
+                per_set = [counts[id(set_p)], counts[id(set_q)]]
+                assert sum(counts.values()) == sum(per_set)
+                if intersecting:
+                    assert per_set == [0, 0]
+                else:
+                    assert isinstance(result.certificate, Disjoint)
+                    assert max(per_set) <= 1
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
     @pytest.mark.parametrize("inst", TWO_SET_INSTANCES, ids=lambda inst: inst.name)

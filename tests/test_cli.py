@@ -15,6 +15,7 @@ from setmeet import (
 )
 from setmeet.cli import main, parse_problem_spec
 from setmeet.instances import TWO_SET_INSTANCES
+from helpers import golden_run_record
 
 TRI_P = {"kind": "vpolytope", "vertices": [[0, 0], [2, 0], [0, 2]]}
 SEG_TOUCH = {"kind": "vpolytope", "vertices": [[1, 1], [3, 1]]}
@@ -423,6 +424,15 @@ def test_solve_outputs_match_perfbench_golden(tmp_path, monkeypatch):
     assert got == golden
 
 
+GOLDEN_RUNS = Path(__file__).with_name("golden_runs.json")
+
+
+def test_runs_match_golden():
+    # Library runs bit for bit: trace rows, final points, the stores'
+    # rows and weights, and every certificate array.
+    assert golden_run_record() == json.loads(GOLDEN_RUNS.read_text())
+
+
 def compare_golden(path: Path, record: dict, write: bool, what: str) -> int:
     """Print the entries of ``record`` that differ from ``path``; rewrite it if ``write``."""
     golden = json.loads(path.read_text())
@@ -440,8 +450,8 @@ def compare_golden(path: Path, record: dict, write: bool, what: str) -> int:
 
 
 def main_record(argv: list[str]) -> int:
-    """Compare `setmeet solve` and `setmeet bench` with the golden digests;
-    rewrite them only with --write."""
+    """Compare `setmeet solve`, `setmeet bench` and the library runs with the
+    golden digests; rewrite them only with --write."""
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         record = {}
         for inst in TWO_SET_INSTANCES:
@@ -451,11 +461,12 @@ def main_record(argv: list[str]) -> int:
     write = "--write" in argv
     changed = compare_golden(GOLDEN_SOLVE, record, write, "entries")
     changed += compare_golden(GOLDEN_BENCH, benches, write, "bench suites")
+    changed += compare_golden(GOLDEN_RUNS, golden_run_record(), write, "library runs")
     return 1 if changed else 0
 
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_cli.py [--write]
-    # Lists the solve entries and bench suites whose digests differ, old -> new;
-    # --write re-records both files.
+    # Lists the solve entries, bench suites and library runs whose digests
+    # differ, old -> new; --write re-records all three files.
     sys.exit(main_record(sys.argv[1:]))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from setmeet import (
     VPolytope,
     support_gap,
 )
+from setmeet.cbcg import ConvexCombination
 from setmeet.feasibility import FeasibilityProgram
-from setmeet.oracles import DEDUP_TOL, VertexSet, distinct_rows
+from setmeet.oracles import DEDUP_TOL, VertexSet, distinct_rows, euclidean_norm
 from helpers import (
-    brute_diameter, brute_distinct_rows, brute_support_gap, brute_vertex_argmin, support_min,
+    VstackStore, brute_diameter, brute_distinct_rows, brute_support_gap, brute_vertex_argmin,
+    support_min,
 )
 
 ALL_GEOMETRIES = [
@@ -51,6 +54,22 @@ class TestLmo:
         assert np.allclose(ball.lmo([1e-170, -1e-170]), [-half, half], atol=1e-15)
         assert np.array_equal(ball.lmo([5e-324, 0.0]), [-1.0, 0.0])
         assert np.array_equal(ball.lmo([-0.0, 0.0]), [-1.0, 0.0])  # the all-way tie
+
+    def test_ball_direction_at_extreme_scale_warns_nothing(self):
+        ball = Ball([0.0, 0.0], 1.0)
+        half = math.sqrt(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.allclose(ball.lmo([1e200, 1e200]), [-half, -half], atol=1e-15)
+            assert np.allclose(ball.lmo([1e-170, -1e-170]), [-half, half], atol=1e-15)
+
+    def test_euclidean_norm_is_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 7, 33, 257):
+            for _ in range(50):
+                a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-150, 150)
+                for x in (a.ravel(), a[:, 1], a[::-1, 0], a.ravel()[::-2]):
+                    assert euclidean_norm(x) == float(np.linalg.norm(x))
 
     def test_nonfinite_objective_minimum_is_a_geometry_error(self):
         with np.errstate(over="ignore"):
@@ -398,3 +417,58 @@ def test_one_dedup_rule_matches_the_scalar_loop():
             ):
                 assert got.shape == expected.shape, i
                 assert got.tobytes() == expected.tobytes(), i
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStoreViews:
+    """``rows`` and ``weights`` are views of buffers that double when full."""
+
+    @staticmethod
+    def offers(rng, count):
+        # Mostly new points, some within DEDUP_TOL of a kept one, some just past it.
+        points = [rng.normal(size=3)]
+        for k in range(1, count):
+            if k % 7 == 0:
+                shift = rng.normal(size=3)
+                scale = 0.5 * DEDUP_TOL if k % 14 == 0 else 2.0 * DEDUP_TOL
+                points.append(points[int(rng.integers(k))] + scale * shift / np.linalg.norm(shift))
+            else:
+                points.append(rng.normal(size=3))
+        return points
+
+    @pytest.mark.parametrize("make", [lambda p: VertexSet(p[None]), ConvexCombination],
+                             ids=["VertexSet", "ConvexCombination"])
+    def test_taken_rows_survive_growth(self, make):
+        offers = self.offers(np.random.default_rng(5), 360)
+        store, ref = make(offers[0]), VstackStore(offers[0])
+        taken = []
+        for k, v in enumerate(offers[1:]):
+            taken.append((store.rows, store.rows.copy()))
+            if k % 2:
+                assert store.add(v) == ref.add(v)
+            else:
+                assert store.index(v) == ref.index(v)
+            assert same_bits(store.rows, ref.rows)
+        assert len(store.rows) > 300  # several doublings past the first row
+        assert all(same_bits(view, copy) for view, copy in taken)
+
+    def test_combination_weights_and_programs_match_the_reference(self):
+        offers = self.offers(np.random.default_rng(6), 360)
+        store, ref = ConvexCombination(offers[0]), VstackStore(offers[0])
+        program = None
+        for k, v in enumerate(offers[1:]):
+            weights, before = store.weights, store.weights.copy()
+            assert store.add(v) == ref.add(v)
+            assert same_bits(weights, before)  # growth leaves a taken weights alone
+            store.step(offers[k // 2], 2.0 / (k + 3))
+            ref.step(offers[k // 2], 2.0 / (k + 3))
+            assert same_bits(store.weights, ref.weights)
+            assert same_bits(store.combination(), ref.combination())
+            if k == 4:
+                program = FeasibilityProgram(store.rows, -store.rows)
+                u_points = program.u_points.copy()
+        assert len(store.rows) > 300
+        assert same_bits(program.u_points, u_points)
