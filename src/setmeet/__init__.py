@@ -44,8 +44,10 @@ from .cbcg import (
 from .feasibility import (
     FeasibilityProgram,
     FeasibleCombination,
+    HullMeet,
     epsilon_pq,
     hull_distance,
+    hull_meet,
     phase_one_simplex,
     solve_feasibility,
 )

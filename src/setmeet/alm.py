@@ -34,9 +34,11 @@ power two disjointness certificates:
   margin is checkable with two LMO calls and needs no constants.
 
 The adaptive variant interleaves those checks at iterations t = 2^k and
-additionally tries to recover an exact intersection point by solving
-the hull-intersection feasibility program over all vertices the LMOs
-have returned so far; one LP solve is charged as one LMO call.
+additionally tries to recover an exact intersection point over all
+vertices the LMOs have returned so far: ``feasibility.hull_meet`` runs
+Wolfe's minimum-norm-point method on the two stores, warm-started from
+the previous checkpoint's support, and one such decision is charged as
+one LMO call.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from .cbcg import (
     block_step,
     distance_problem,
 )
-from .feasibility import FeasibilityProgram, solve_feasibility
+from .feasibility import hull_meet
+from .feasibility import solve_feasibility  # noqa: F401  (read only by perfbench's tracer)
 from .oracles import (
     Array,
     DimensionMismatch,
@@ -377,17 +380,20 @@ def adaptive_run(
 
     At each checkpoint the separation margin is probed first (two LMO
     calls, one of which is reused as the next iteration's first call);
-    if it does not certify disjointness and the seen vertex sets have
-    grown, the hull-intersection LP over all seen vertices is solved
-    (charged as one LMO call).  A feasible LP yields an exact common
-    point.  Runs on any geometry; the LP route is exact for polytopes.
+    if it does not certify disjointness and the stores have grown,
+    ``hull_meet`` decides whether the hulls of the two stores meet,
+    resuming from the previous checkpoint's support (charged as one LMO
+    call).  A meet yields an exact common point; a separation, a stall
+    or its step limit lets the run go on.  Runs on any geometry; the
+    hull route is exact for polytopes.
     """
     problem, trace, points, calls = _begin(set_p, set_q, rule, max_iters, start)
     comb_x, comb_y = trace.combinations
     diameters: tuple[float, float] | None = None  # measured once a margin may certify
 
     cached_u: Array | None = None
-    lp_support_size = -1
+    meet = None  # the previous checkpoint's hull_meet answer, its warm start
+    decided_size = -1
     best_distance = math.inf
     certificate: Certificate | None = None
     contact = False
@@ -418,10 +424,11 @@ def adaptive_run(
                 if separates(g, margin, *diameters):
                     certificate = Disjoint(g.copy(), margin, calls, t + 1)
                     break
-            if len(comb_x.rows) + len(comb_y.rows) != lp_support_size:
-                lp_support_size = len(comb_x.rows) + len(comb_y.rows)
+            if len(comb_x.rows) + len(comb_y.rows) != decided_size:
+                decided_size = len(comb_x.rows) + len(comb_y.rows)
                 calls += 1
-                combo = solve_feasibility(FeasibilityProgram(comb_x.rows, comb_y.rows))
+                meet = hull_meet(comb_x.rows, comb_y.rows, meet)
+                combo = meet.combination
                 if combo is not None:
                     certificate = intersection_point(
                         combo.point, combo.lam, comb_x.rows, combo.kappa, comb_y.rows,

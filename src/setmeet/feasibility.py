@@ -6,25 +6,25 @@ candidate as a convex combination on each side gives the linear program
     sum_u lam_u * u = sum_v kap_v * v,
     sum_u lam_u = 1,  sum_v kap_v = 1,  lam >= 0,  kap >= 0,
 
-solved here by a dense phase-1 simplex method with Bland's anti-cycling
-rule.  Before pivoting, a least-squares Farkas screen decides most
-infeasible programs: any y with |y|_inf <= 1 bounds the phase-1
-objective from below by y.b - 2 max(0, max(A^T y)), since the two
-convexity rows keep sum(lam) + sum(kap) <= 2.  The screen takes y from
-the least-squares residual of A z = b and answers None when that bound
-exceeds FEASIBLE_TOL; a program it does not decide gets exactly the
-simplex answer.  This LP is the one place that decides whether two
-hulls meet.  ``hull_distance`` answers the other hull questions, the
-distance between the hulls and (through ``VPolytope.contains``) whether
-a point lies in one, by Wolfe's minimum-norm-point method (fully
-corrective Frank-Wolfe), which returns only a distance its dual gap
-certifies.
+solved by ``solve_feasibility`` (``setmeet feastest``, ``epsilon_pq``)
+with a dense phase-1 simplex method and Bland's anti-cycling rule.
+Before pivoting, a least-squares Farkas screen decides most infeasible
+programs: any y with |y|_inf <= 1 bounds the phase-1 objective from
+below by y.b - 2 max(0, max(A^T y)), since the two convexity rows keep
+sum(lam) + sum(kap) <= 2.  The screen takes y from the least-squares
+residual of A z = b and answers None when that bound exceeds
+FEASIBLE_TOL; a program it does not decide gets exactly the simplex
+answer.  Wolfe's minimum-norm-point method runs every other hull
+question in one loop: ``hull_distance``, certified by its dual gap,
+answers distance and (through ``VPolytope.contains``) membership, and
+``hull_meet``, warm-startable, decides the adaptive checkpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,11 @@ from .oracles import (
 FEASIBLE_TOL = 1e-9
 # hull_distance stops once its dual gap, in coordinates scaled to [1/2, 1), is this small.
 HULL_GAP_TOL = 2.0 ** -40
+# hull_meet reads a meet off Wolfe's loop once ||x||, in the same coordinates, is this small.
+HULL_MEET_TOL = 2.0 ** -40
+# Largest residual (mismatch of the two combinations, or of a weight sum from 1) accepted
+# for weights that claim a common point.
+RESIDUAL_TOL = 1e-8
 
 
 def _points_matrix(points, name: str, dim: int | None = None) -> Array:
@@ -197,7 +202,7 @@ def solve_feasibility(prog: FeasibilityProgram) -> FeasibleCombination | None:
     FEASIBLE_TOL the answer is None without pivoting.  Otherwise
     ``phase_one_simplex`` decides it.
     """
-    u, v = prog.u_points, prog.v_points
+    u = prog.u_points
     ku = u.shape[0]
     a, b = _normalised_program(prog)
     if _farkas_infeasible(a, b):
@@ -205,21 +210,27 @@ def solve_feasibility(prog: FeasibilityProgram) -> FeasibleCombination | None:
     objective, z = phase_one_simplex(a, b)
     if objective > FEASIBLE_TOL:
         return None
-    lam, kappa = z[:ku], z[ku:]
+    combo = _combination(u, prog.v_points, z[:ku], z[ku:])
+    if combo.residual > RESIDUAL_TOL:
+        raise RuntimeError(f"feasible basis with residual {combo.residual:.3e}")
+    return combo
+
+
+def _combination(u: Array, v: Array, lam: Array, kappa: Array) -> FeasibleCombination:
+    """The common point of weights ``lam`` on ``u`` and ``kappa`` on ``v``, with its residual."""
     point_u = u.T @ lam
     point_v = v.T @ kappa
     residual = float(np.linalg.norm(point_u - point_v))
     residual = max(residual, abs(float(lam.sum()) - 1.0), abs(float(kappa.sum()) - 1.0))
-    if residual > 1e-8:
-        raise RuntimeError(f"feasible basis with residual {residual:.3e}")
     return FeasibleCombination(lam, kappa, 0.5 * (point_u + point_v), residual)
 
 
 def _affine_minimizer(rows: Array, in_a: Array) -> Array:
     """Weights minimizing ||rows^T w|| with each block's weights summing to 1.
 
-    Solves the equality-constrained least-squares KKT system; the
-    weights may be negative.  ``in_a`` marks the rows of the first block.
+    Solves the equality-constrained least-squares KKT system, by least
+    squares only when it is singular; the weights may be negative.
+    ``in_a`` marks the rows of the first block.
     """
     p = rows.shape[0]
     kkt = np.zeros((p + 2, p + 2))
@@ -228,53 +239,52 @@ def _affine_minimizer(rows: Array, in_a: Array) -> Array:
     kkt[:p, p + 1] = kkt[p + 1, :p] = ~in_a
     rhs = np.zeros(p + 2)
     rhs[p:] = 1.0
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:p]
+    try:
+        return np.linalg.solve(kkt, rhs)[:p]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:p]
 
 
-def hull_distance(a_points, b_points) -> float:
-    """Distance between conv(A) and conv(B), certified by a dual gap.
-
-    Wolfe's minimum-norm-point method (fully corrective Frank-Wolfe) on
-    x = A^T lam - B^T kap, after scaling every point by the power of two
-    2**-e that puts the largest coordinate in [1/2, 1).  Each step
-    minimizes <x, .> over each point list; the dual gap
-    g = ||x||^2 - (min_a <x, a> - max_b <x, b>) is the sum of the two
-    lists' shortfalls.  The step adds the minimizing point of the list
-    that falls shorter and re-solves the weights exactly on the support;
-    while a weight comes out negative, it steps back to where the first
-    weight reaches 0 and drops that point.
-
-    It stops once g <= HULL_GAP_TOL and returns r = 2**e ||x||, the
-    length of a segment between the hulls, so r >= distance.  Every
-    difference p of hull points has <x, p> >= ||x||^2 - g, so
-    r - distance <= min(G / r, r) <= sqrt(G) = 2**(e - 20), with
-    G = 4**e HULL_GAP_TOL.  A run that has not certified within
-    (|A| + |B|)(n + 2) steps, or whose minimizing point is already in
-    the support, raises RuntimeError instead.  Intersecting hulls are
-    not special: they return the certified r, at most 2**(e - 20).
-    Whether two hulls meet is ``solve_feasibility``'s question.
-    """
-    a = _points_matrix(a_points, "a_points")
-    b = _points_matrix(b_points, "b_points", a.shape[1])
-    ka = a.shape[0]
-    m_rows = np.vstack([a, -b])  # difference point x = M^T w
+def _scaled_rows(a: Array, b: Array) -> tuple[Array, int]:
+    """[A; -B] times 2**-e, the power of two putting the largest coordinate in [1/2, 1)."""
+    m_rows = np.vstack([a, -b])
     e = math.frexp(float(np.abs(m_rows).max()))[1]
-    m_rows = np.ldexp(m_rows, -e)
+    return np.ldexp(m_rows, -e), e
 
-    support = np.array([0, ka])
-    w = np.ones(2)
+
+def _wolfe(m_rows: Array, ka: int, support: Array, w: Array, decide: bool):
+    """Wolfe's loop on x = m_rows[support]^T w; returns (outcome, x, support, w, gap).
+
+    Wolfe's minimum-norm-point method (fully corrective Frank-Wolfe).
+    Rows below ``ka`` belong to the first list; the start's weights are
+    positive and sum to 1 on each list.  Each step minimizes <x, .> over
+    each list; the dual gap g = ||x||^2 - (min_a <x, a> - max_b <x, b>)
+    is the sum of the two lists' shortfalls.  The step adds the
+    minimizing point of the list that falls shorter and re-solves the
+    weights exactly on the support; while a weight comes out negative,
+    it steps back to where the first weight reaches 0 and drops that
+    point.  The outcome is "certified" once g <= HULL_GAP_TOL, or with
+    ``decide`` instead "meet" once ||x|| <= HULL_MEET_TOL and
+    "separated" once min_a <x, a> > max_b <x, b>.  It is None when the
+    minimizing point is already in the support (a stall) or after
+    (|A| + |B|)(n + 2) steps.
+    """
     gap = math.inf
     for _ in range(m_rows.shape[0] * (m_rows.shape[1] + 2)):
         x = w @ m_rows[support]
+        if decide and euclidean_norm(x) <= HULL_MEET_TOL:
+            return "meet", x, support, w, gap
         s = m_rows @ x
         i = int(np.argmin(s[:ka]))
         j = ka + int(np.argmin(s[ka:]))
+        if decide and float(s[i]) + float(s[j]) > 0.0:
+            return "separated", x, support, w, gap
         in_a = support < ka
         short_a = float(w[in_a] @ s[support[in_a]]) - float(s[i])
         short_b = float(w[~in_a] @ s[support[~in_a]]) - float(s[j])
         gap = short_a + short_b
-        if gap <= HULL_GAP_TOL:
-            return math.ldexp(float(np.linalg.norm(x)), e)
+        if not decide and gap <= HULL_GAP_TOL:
+            return "certified", x, support, w, gap
         new = i if short_a >= short_b else j
         if new in support:
             break  # x is not its support's exact minimizer, so no step helps
@@ -289,9 +299,80 @@ def hull_distance(a_points, b_points) -> float:
             support, w = support[w > 0.0], w[w > 0.0]
             y = _affine_minimizer(m_rows[support], support < ka)
         support, w = support[y > 0.0], y[y > 0.0]
-    raise RuntimeError(
-        f"hull_distance stopped uncertified: dual gap {gap:.3e} exceeds {HULL_GAP_TOL:.3e}"
-    )
+    return None, x, support, w, gap
+
+
+def hull_distance(a_points, b_points) -> float:
+    """Distance between conv(A) and conv(B), certified by a dual gap.
+
+    Runs ``_wolfe`` on x = A^T lam - B^T kap from the first point of
+    each list, after scaling every point by the power of two 2**-e that
+    puts the largest coordinate in [1/2, 1).  Once the dual gap
+    g <= HULL_GAP_TOL it returns r = 2**e ||x||, the length of a segment
+    between the hulls, so r >= distance.  Every difference p of hull
+    points has <x, p> >= ||x||^2 - g, so
+    r - distance <= min(G / r, r) <= sqrt(G) = 2**(e - 20), with
+    G = 4**e HULL_GAP_TOL.  A run that stalls or reaches the step limit
+    uncertified raises RuntimeError instead.  Intersecting hulls are not
+    special: they return the certified r, at most 2**(e - 20).
+    """
+    a = _points_matrix(a_points, "a_points")
+    b = _points_matrix(b_points, "b_points", a.shape[1])
+    ka = a.shape[0]
+    m_rows, e = _scaled_rows(a, b)
+    outcome, x, _, _, gap = _wolfe(m_rows, ka, np.array([0, ka]), np.ones(2), decide=False)
+    if outcome is None:
+        raise RuntimeError(
+            f"hull_distance stopped uncertified: dual gap {gap:.3e} exceeds {HULL_GAP_TOL:.3e}"
+        )
+    return math.ldexp(float(np.linalg.norm(x)), e)
+
+
+class HullMeet(NamedTuple):
+    """``hull_meet``'s verdict and where its loop stopped.
+
+    ``combination`` is set on a meet and ``direction`` (a d with
+    min_u <d, u> > max_v <d, v>) on a separation; neither, when there is
+    no verdict.  ``weights`` lie on the rows ``support`` of [U; V], ku = |U|.
+    """
+
+    combination: FeasibleCombination | None
+    direction: Array | None
+    support: Array
+    weights: Array
+    ku: int
+
+
+def hull_meet(u_points, v_points, start: HullMeet | None = None) -> HullMeet:
+    """Whether conv(U) and conv(V) meet, decided by ``_wolfe``'s meet and separated exits.
+
+    A meet's weights are read off the support and kept only if the two
+    combinations, and each weight sum and 1, agree within RESIDUAL_TOL.
+    A rejected meet, a stall or the step limit gives no verdict, never
+    an error.  The lists are taken as given, repeated points included.
+    ``start``, an earlier answer for prefixes of these lists, resumes
+    the loop from its support and weights (V's indices shifted by the
+    growth of U); otherwise the loop starts at the first point of each.
+    """
+    u = _points_matrix(u_points, "u_points")
+    v = _points_matrix(v_points, "v_points", u.shape[1])
+    ku = u.shape[0]
+    if start is None:
+        support, w = np.array([0, ku]), np.ones(2)
+    else:
+        support = np.where(start.support < start.ku, start.support,
+                           start.support + (ku - start.ku))
+        w = start.weights
+    outcome, x, support, w, _ = _wolfe(_scaled_rows(u, v)[0], ku, support, w, decide=True)
+    combination = direction = None
+    if outcome == "meet":
+        z = np.zeros(ku + v.shape[0])
+        z[support] = w
+        combo = _combination(u, v, z[:ku], z[ku:])
+        combination = combo if combo.residual <= RESIDUAL_TOL else None
+    elif outcome == "separated":
+        direction = x
+    return HullMeet(combination, direction, support, w, ku)
 
 
 def epsilon_pq(set_p: VPolytope, set_q: VPolytope) -> float:

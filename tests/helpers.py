@@ -132,6 +132,18 @@ def random_feasibility_program(rng):
     return u, v
 
 
+def scaled_set(geom, k: int):
+    """``geom`` scaled about the origin by 2**k, built afresh from its defining data."""
+    s = 2.0 ** k
+    if isinstance(geom, Box):
+        return Box(geom.lower * s, geom.upper * s)
+    if isinstance(geom, (Ball, L1Ball)):
+        return type(geom)(geom.center * s, geom.radius * s)
+    if isinstance(geom, Simplex):
+        return Simplex(geom.dimension, geom.scale * s)
+    return VPolytope(geom.vertices * s)
+
+
 def _point_segment_distance(p, a, b):
     d = b - a
     dd = float(np.dot(d, d))

@@ -31,7 +31,9 @@ from setmeet import (
 )
 from setmeet.instances import ADAPTIVE_INSTANCES, TWO_SET_INSTANCES
 from setmeet.oracles import DEDUP_TOL
-from helpers import brute_support_gap, kept_duals, kept_margins, midpoint_gap, primal_bound
+from helpers import (
+    brute_support_gap, kept_duals, kept_margins, midpoint_gap, primal_bound, scaled_set,
+)
 
 RULES = [StepRule.AGNOSTIC, StepRule.SHORT_STEP]
 
@@ -402,6 +404,27 @@ class TestSeenVertexRecovery:
             assert combo is not None, trial
             checked += 1
         assert checked >= 4
+
+
+@pytest.mark.parametrize("k", [22, 28])
+def test_large_scales_raise_nothing(k):
+    """Every instance scaled by 2**k: no error and no false verdict, under both rules.
+
+    When the phase-1 simplex decided checkpoints, its 1e-8 residual check
+    raised RuntimeError('feasible basis with residual ...') on 1 of these
+    30 runs at 2**22 (ball-box-overlap, agnostic) and on 4 at 2**28
+    (ball-ball-overlap and ball-box-overlap, both rules).  Wolfe's
+    decider raises on none.  At 2**28 five intersecting runs end
+    undecided instead (box-box-touch, ball-ball-overlap and tri-seg-touch
+    agnostic, ball-box-overlap both rules): the residual bound is
+    absolute, so a meet read off at that scale is rejected.
+    """
+    for inst in TWO_SET_INSTANCES:
+        p, q = scaled_set(inst.set_p, k), scaled_set(inst.set_q, k)
+        truth = "intersection" if inst.intersecting else "disjoint"
+        for rule in RULES:
+            verdict = adaptive_run(p, q, rule, 300).certificate.verdict
+            assert verdict in (truth, "undecided"), (inst.name, rule)
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import setmeet
 from setmeet import (
     Ball, Box, L1Ball, Simplex, VPolytope, support_gap, supports_projection,
 )
@@ -324,13 +325,14 @@ def test_overflow_prints_only_the_error_line(tmp_path, capsys, algorithm):
 
 
 def test_lp_runtime_error_exits_three(tmp_path, capsys, monkeypatch):
-    def fail(program):
-        raise RuntimeError("phase-1 simplex exceeded the pivot limit")
+    # A RuntimeError from the checkpoint decider, as alm calls it, exits 3 with its message.
+    def fail(u_points, v_points, start=None):
+        raise RuntimeError("checkpoint decider failed")
 
-    monkeypatch.setattr("setmeet.alm.solve_feasibility", fail)
+    monkeypatch.setattr("setmeet.alm.hull_meet", fail)
     path = write_spec(tmp_path)
     assert main(["solve", str(path)]) == 3
-    assert "error: phase-1 simplex" in capsys.readouterr().err
+    assert "error: checkpoint decider failed" in capsys.readouterr().err
 
 
 def geometry_json(geom) -> dict:
@@ -422,6 +424,29 @@ def test_solve_outputs_match_perfbench_golden(tmp_path, monkeypatch):
             main(["solve", str(path)])
         got[key] = hashlib.sha256(csv.read_bytes()).hexdigest()
     assert got == golden
+
+
+@pytest.mark.parametrize("dropped", [None, ("alm", "solve_feasibility"), ("alm", "_add_seen"),
+                                     ("feasibility", "phase_one_simplex")])
+def test_tracer_wrap_points_resolve(monkeypatch, dropped):
+    # perfbench's tracer finds what it wraps by name; each name must resolve,
+    # and losing one of them fails here rather than only in a traced bench run.
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    from perfbench.tracer import _wrap_points
+
+    if dropped is not None:
+        module, attr = dropped
+        monkeypatch.delattr(f"setmeet.{module}.{attr}")
+
+    def resolve():
+        for owner, attr, *_hooks in _wrap_points(setmeet):
+            assert callable(getattr(owner, attr)), (owner, attr)
+
+    if dropped is None:
+        resolve()
+    else:
+        with pytest.raises(AttributeError):
+            resolve()
 
 
 GOLDEN_RUNS = Path(__file__).with_name("golden_runs.json")

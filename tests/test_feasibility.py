@@ -1,10 +1,10 @@
-import dataclasses
 import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setmeet import (
     DimensionMismatch,
@@ -15,6 +15,7 @@ from setmeet import (
     adaptive_run,
     epsilon_pq,
     hull_distance,
+    hull_meet,
     phase_one_simplex,
     solve_feasibility,
 )
@@ -203,7 +204,7 @@ class TestFarkasScreen:
         differ and where phase_one_simplex can stop at a non-optimal basis
         or fail its residual check.
         """
-        optimize = pytest.importorskip("scipy.optimize")
+        pytest.importorskip("scipy.optimize")
         screened = 0
         for kind, prog in _hull_programs(72, 150):
             a, b = feasibility._normalised_program(prog)
@@ -211,40 +212,27 @@ class TestFarkasScreen:
                 if not feasibility._farkas_infeasible(a, b):
                     continue
                 screened += 1
-            u, v = prog.u_points, prog.v_points
-            ku, kv = len(u), len(v)
-            a_eq = np.vstack([np.hstack([u.T, -v.T]),
-                              np.r_[np.ones(ku), np.zeros(kv)],
-                              np.r_[np.zeros(ku), np.ones(kv)]])
-            b_eq = np.r_[np.zeros(prog.dimension), 1.0, 1.0]
-            res = optimize.linprog(
-                np.zeros(ku + kv), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                options={"primal_feasibility_tolerance": 1e-10,
-                         "dual_feasibility_tolerance": 1e-10},
-            )
-            assert res.status in (0, 2), (kind, res.message)
-            assert (solve_feasibility(prog) is not None) == (res.status == 0), (kind, prog)
+            assert (solve_feasibility(prog) is not None) == _highs_feasible(prog), (kind, prog)
         assert screened > 0
 
 
-def _run_bytes(run):
-    """Every number an adaptive run reports, as bytes."""
-    cert, trace, state = run
+def _highs_feasible(prog):
+    """HiGHS's verdict on the raw hull-intersection program, at 1e-10 tolerances."""
+    from scipy import optimize
 
-    def flat(value):
-        if dataclasses.is_dataclass(value):
-            return b"".join(flat(getattr(value, f.name)) for f in dataclasses.fields(value))
-        if isinstance(value, (list, tuple)):
-            return b"".join(flat(item) for item in value)
-        if isinstance(value, np.ndarray):
-            return repr((value.dtype, value.shape)).encode() + value.tobytes()
-        if isinstance(value, float):
-            return np.float64(value).tobytes()
-        return repr(value).encode()
-
-    return (flat(cert), flat(trace.rows), flat(trace.final_objective),
-            flat(state.seen_p), flat(state.seen_q),
-            flat(state.comb_x.weights), flat(state.comb_y.weights))
+    u, v = prog.u_points, prog.v_points
+    ku, kv = len(u), len(v)
+    a_eq = np.vstack([np.hstack([u.T, -v.T]),
+                      np.r_[np.ones(ku), np.zeros(kv)],
+                      np.r_[np.zeros(ku), np.ones(kv)]])
+    b_eq = np.r_[np.zeros(prog.dimension), 1.0, 1.0]
+    res = optimize.linprog(
+        np.zeros(ku + kv), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0
 
 
 def _polytope_pair(rng, d, offset):
@@ -253,43 +241,140 @@ def _polytope_pair(rng, d, offset):
     return p, q
 
 
+# (verdict, lmo_calls, iterations) of the six runs of each (d, rule) below, as
+# recorded while the checkpoint LP (screen and simplex) still decided them.
+CHECKPOINT_RUNS = {
+    (5, "agnostic"): [("intersection", 19, 5), ("intersection", 29, 9), ("intersection", 19, 5),
+                      ("disjoint", 273, 129), ("disjoint", 12, 3), ("disjoint", 146, 65)],
+    (5, "short"): [("intersection", 13, 3), ("intersection", 19, 5), ("intersection", 13, 3),
+                   ("disjoint", 27, 9), ("disjoint", 12, 3), ("disjoint", 18, 5)],
+    (8, "agnostic"): [("intersection", 19, 5), ("intersection", 19, 5), ("intersection", 29, 9),
+                      ("disjoint", 80, 33), ("disjoint", 17, 5), ("disjoint", 8, 2)],
+    (8, "short"): [("intersection", 19, 5), ("intersection", 19, 5), ("intersection", 19, 5),
+                   ("disjoint", 46, 17), ("disjoint", 8, 2), ("disjoint", 8, 2)],
+}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an adaptive checkpoint reached the LP")
+
+
 @pytest.mark.parametrize("rule", [StepRule.AGNOSTIC, StepRule.SHORT_STEP], ids=lambda r: r.value)
 @pytest.mark.parametrize("d", [5, 8])
 def test_screen_leaves_adaptive_runs_bit_for_bit(monkeypatch, d, rule):
+    """Checkpoints reach neither the screen nor the simplex, and every run
+    stops where, and with the verdict and LMO count, it did under the LP."""
     rng = np.random.default_rng(100 + d)
     pairs = [_polytope_pair(rng, d, offset) for offset in (0.3, 0.6, 1.0, 1.5, 2.0, 3.0)]
-    screen = feasibility._farkas_infeasible
-    fired = []
+    monkeypatch.setattr(feasibility, "_farkas_infeasible", _refuse)
+    monkeypatch.setattr(feasibility, "phase_one_simplex", _refuse)
+    certs = [adaptive_run(p, q, rule, 512).certificate for p, q in pairs]
+    got = [(cert.verdict, cert.lmo_calls, cert.iterations) for cert in certs]
+    assert got == CHECKPOINT_RUNS[d, rule.value]
 
-    def counted(a, b):
-        fired.append(screen(a, b))
-        return fired[-1]
 
-    monkeypatch.setattr(feasibility, "_farkas_infeasible", counted)
-    on = [_run_bytes(adaptive_run(p, q, rule, 512)) for p, q in pairs]
-    monkeypatch.setattr(feasibility, "_farkas_infeasible", lambda a, b: False)
-    off = [_run_bytes(adaptive_run(p, q, rule, 512)) for p, q in pairs]
-    assert any(fired)
-    assert on == off
+def _counted(monkeypatch, module, name, calls):
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kw):
+        calls[name] += 1
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def test_adaptive_checkpoints_pivot_less_often_than_they_solve(monkeypatch):
-    calls = {"solve_feasibility": 0, "phase_one_simplex": 0}
-
-    def counted(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return inner(*args, **kw)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(alm, "solve_feasibility")
-    counted(feasibility, "phase_one_simplex")
+    # Checkpoints never pivot: hull_meet decides each of them.
+    calls = {"hull_meet": 0, "phase_one_simplex": 0}
+    _counted(monkeypatch, alm, "hull_meet", calls)
+    _counted(monkeypatch, feasibility, "phase_one_simplex", calls)
     p, q = _polytope_pair(np.random.default_rng(5), 8, 0.3)
     adaptive_run(p, q, StepRule.AGNOSTIC, 512)
-    assert 0 < calls["phase_one_simplex"] < calls["solve_feasibility"]
+    assert calls["phase_one_simplex"] == 0 < calls["hull_meet"]
+
+
+def _shifted_apart(kind, prog):
+    """A "separated" draw whose second list was shifted past the first along axis 0."""
+    u, v = prog.u_points, prog.v_points
+    return kind == "separated" and v[:, 0].min() > u[:, 0].max()
+
+
+def _check_answer(u, v, answer):
+    """A meet's weights recombine to one point; a separation's direction separates."""
+    assert answer.combination is None or answer.direction is None
+    if answer.combination is not None:
+        lam, kappa = answer.combination.lam, answer.combination.kappa
+        assert lam.min() >= 0.0 and kappa.min() >= 0.0
+        assert abs(lam.sum() - 1.0) <= 1e-8 and abs(kappa.sum() - 1.0) <= 1e-8
+        assert np.linalg.norm(u.T @ lam - v.T @ kappa) <= 1e-8
+    if answer.direction is not None:
+        x = answer.direction
+        assert (u @ x).min() > (v @ x).max()
+
+
+class TestHullMeet:
+    def test_answers_agree_with_scipy_linprog(self):
+        pytest.importorskip("scipy.optimize")
+        answered = dict.fromkeys(HULL_PROGRAM_KINDS, 0)
+        separated = dict.fromkeys(HULL_PROGRAM_KINDS, 0)
+        for kind, prog in _hull_programs(73, 150):
+            answer = hull_meet(prog.u_points, prog.v_points)
+            _check_answer(prog.u_points, prog.v_points, answer)
+            if answer.combination is not None:
+                assert _highs_feasible(prog), (kind, prog)
+                assert not _shifted_apart(kind, prog), (kind, prog)
+            if answer.direction is not None:
+                assert kind != "intersecting", prog
+                x = answer.direction
+                width = ((prog.u_points @ x).min() - (prog.v_points @ x).max()) / np.linalg.norm(x)
+                # HiGHS's 1e-10 tolerances cannot see a thinner slab between the hulls.
+                if width > 1e-8:
+                    assert not _highs_feasible(prog), (kind, prog)
+                    separated[kind] += 1
+            answered[kind] += answer.combination is not None or answer.direction is not None
+        # Left without a verdict: four near misses 4e-12 to 3e-10 apart, where the loop stalls.
+        assert answered == {**dict.fromkeys(HULL_PROGRAM_KINDS, 150), "near-miss": 146}
+        assert all(separated[kind] > 0 for kind in ("near-miss", "separated", "integer"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=6),
+        st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=6),
+    )))
+    def test_integer_lists_answer_as_the_lp_does(self, lists):
+        # Repeated points and exact degeneracy, without deduplication.
+        u, v = (np.array(points, dtype=float) for points in lists)
+        answer = hull_meet(u, v)
+        _check_answer(u, v, answer)
+        assert (answer.combination is not None) == (
+            solve_feasibility(FeasibilityProgram(u, v)) is not None)
+        assert answer.combination is not None or answer.direction is not None
+
+    def test_warm_start_decides_as_a_cold_start_in_fewer_solves(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        p = VPolytope(rng.normal(size=(200, 20)))
+        q = VPolytope(rng.normal(size=(200, 20)) + 0.5 * rng.normal(size=20))
+        checkpoints = []
+        decide = feasibility.hull_meet
+
+        def captured(u, v, start=None):
+            answer = decide(u, v, start)
+            checkpoints.append((u.copy(), v.copy(), answer))
+            return answer
+
+        monkeypatch.setattr(alm, "hull_meet", captured)
+        solves = {"_affine_minimizer": 0}
+        _counted(monkeypatch, feasibility, "_affine_minimizer", solves)
+        assert adaptive_run(p, q, StepRule.AGNOSTIC, 100_000).certificate.verdict == "intersection"
+        warm, solves["_affine_minimizer"] = solves["_affine_minimizer"], 0
+
+        def verdict(answer):
+            return answer.combination is not None, answer.direction is not None
+
+        for u, v, answer in checkpoints:
+            assert verdict(decide(u, v)) == verdict(answer)
+        assert len(checkpoints) > 1
+        assert warm < solves["_affine_minimizer"]
 
 
 class TestHullDistance:
