@@ -50,6 +50,8 @@ def _points_matrix(points, name: str, dim: int | None = None) -> Array:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[0] == 0:
         raise GeometryError(f"{name} must be a nonempty list of points")
+    if a.shape[1] == 0:
+        raise GeometryError(f"{name} dimension must be >= 1")
     if not np.all(np.isfinite(a)):
         raise GeometryError(f"{name} contains non-finite entries")
     if dim is not None and a.shape[1] != dim:

@@ -38,7 +38,8 @@ TIE_REL_TOL = 1e-12
 # Points at most this far apart are one vertex; VertexSet is its only user.
 # Keeps degenerate duplicate columns out of downstream feasibility programs.
 DEDUP_TOL = 1e-9
-# Row-sum screen radius for DEDUP_TOL, widened for the sum's rounding.
+# Screen radius of VertexSet.index's row-sum scan, widened for the sum's
+# rounding; VertexSet.__init__ screens with its own Gram bound.
 _NEAR_SQ = (1.000001 * DEDUP_TOL) ** 2
 
 
@@ -89,7 +90,9 @@ class VertexSet:
     """Distinct points in insertion order, as the ``(n, d)`` array ``rows``.
 
     A point that ``euclidean_norm`` puts within DEDUP_TOL of a kept row is
-    that row; a row-sum scan, widened for its rounding, finds the candidates.
+    that row.  A screen that keeps every such pair finds the candidates:
+    a Gram screen for the points given at construction, a row-sum scan
+    for each point ``index`` offers later.
 
     ``rows`` is a view of the first n rows of a buffer whose capacity
     doubles when full.  A new point is written past the end of every view
@@ -99,15 +102,45 @@ class VertexSet:
     """
 
     def __init__(self, points: Array):
-        # One blockwise row-sum scan marks the rows with a near earlier row;
-        # only those get the exact test, against the near rows kept so far.
+        """Keep the rows of ``points`` that duplicate no earlier kept row.
+
+        Scaling by the power of two 2**-e that puts the largest |coordinate|
+        in [1/2, 1) gives s_i; centering on row 0 gives c_i = s_i - s_0, with
+        coordinates in [-2, 2], so nothing overflows.  One matmul per block of
+        rows gives the screen ``sq_i + sq_j - 2 c_i.c_j`` against the earlier
+        rows.  With u = 2**-53, tau = DEDUP_TOL 2**-e and R2 the largest
+        ``sq_i``, a pair the exact test accepts lies at a scaled distance t
+        with t**2 <= tau**2 (1 + (d + 6) u).  Centering rounds relative to
+        ``s_i - s_0``, which adds at most 2.01 u (t**2 + R2) to the square;
+        the Gram rounding adds (4 d + 7) u R2, and underflow in the scaling
+        and the products (2 d + 1) 2**-1074.  The slack
+        ``2**-46 (d + 4) (tau**2 + R2) + (d + 1) 2**-1072`` is at least 32
+        times the rounding terms and twice the underflow term, so a screen
+        value ``<= tau**2 + slack`` keeps every such pair.  tau is capped at
+        DEDUP_TOL 2**64 > 1e10, which already exceeds every screen value (all
+        below 17 d): every pair is then a candidate.  Candidates get the exact
+        test, in order, against the near rows kept so far, so the result is
+        the scalar loop's bit for bit.
+        """
         n, d = points.shape
         keep = np.ones(n, dtype=bool)
-        block = max(1, 2**20 // max(1, n * d))
+        e = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+        c = np.ldexp(points, -e)
+        c -= c[:1].copy()
+        sq = np.einsum("ij,ij->i", c, c)
+        tau2 = math.ldexp(DEDUP_TOL, min(-e, 64)) ** 2
+        r2 = float(sq.max(initial=0.0))
+        bound = tau2 + math.ldexp(d + 4, -46) * (tau2 + r2) + math.ldexp(d + 1, -1072)
+        # Small enough that a block's screen values, its masks and the next
+        # block's Gram stay under 10 MiB together.
+        block = max(1, 2**19 // max(1, n))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            sq = ((points[None, :hi] - points[lo:hi, None]) ** 2).sum(axis=2)
-            near = (sq <= _NEAR_SQ) & (np.arange(hi) < np.arange(lo, hi)[:, None])
+            gram = c[lo:hi] @ c[:hi].T
+            gram *= -2.0
+            gram += sq[:hi]
+            gram += sq[lo:hi, None]
+            near = (gram <= bound) & (np.arange(hi) < np.arange(lo, hi)[:, None])
             for i in np.flatnonzero(near.any(axis=1)):
                 earlier = np.flatnonzero(near[i] & keep[:hi])
                 v = points[lo + i]
@@ -188,6 +221,8 @@ class Box:
         up = _frozen(self.upper, "upper")
         if lo.size != up.size:
             raise DimensionMismatch("Box bounds have different dimensions")
+        if lo.size == 0:
+            raise GeometryError("Box dimension must be >= 1")
         if np.any(lo > up):
             raise GeometryError("Box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
@@ -228,6 +263,8 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen(self.center, "center"))
         object.__setattr__(self, "radius", float(self.radius))
+        if self.center.size == 0:
+            raise GeometryError("Ball dimension must be >= 1")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise GeometryError("Ball radius must be positive and finite")
 
@@ -330,6 +367,8 @@ class L1Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen(self.center, "center"))
         object.__setattr__(self, "radius", float(self.radius))
+        if self.center.size == 0:
+            raise GeometryError("L1Ball dimension must be >= 1")
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise GeometryError("L1Ball radius must be positive and finite")
 
@@ -377,6 +416,8 @@ class VPolytope:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] == 0:
             raise GeometryError("VPolytope needs a nonempty 2-D vertex array")
+        if v.shape[1] == 0:
+            raise GeometryError("VPolytope dimension must be >= 1")
         if not np.all(np.isfinite(v)):
             raise GeometryError("VPolytope vertices contain non-finite entries")
         arr = distinct_rows(v)

@@ -494,6 +494,12 @@ class TestEpsilon:
             epsilon_pq(big, other)
 
 
+def test_zero_dimension_point_lists_rejected():
+    for call in (hull_distance, hull_meet, FeasibilityProgram):
+        with pytest.raises(GeometryError, match="dimension must be >= 1"):
+            call(np.zeros((2, 0)), np.zeros((1, 0)))
+
+
 class TestMembership:
     def test_boundary_point(self):
         assert VPolytope(TRIANGLE).contains([1.0, 1.0], tol=1e-9)

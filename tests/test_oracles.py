@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setmeet import (
     Ball,
@@ -266,6 +267,18 @@ class TestDiameter:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("shape", [(6000, 3), (2000, 50)], ids=["6000x3", "2000x50"])
+    def test_dedup_memory_is_blockwise(self, shape):
+        # A full n x n Gram at (6000, 3) alone would take 275 MiB.
+        points = np.random.default_rng(0).normal(size=shape)
+        tracemalloc.start()
+        try:
+            distinct_rows(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
     @pytest.mark.parametrize("geom", ALL_GEOMETRIES, ids=lambda g: type(g).__name__)
     def test_dominates_lmo_spread(self, geom):
         rng = np.random.default_rng(17)
@@ -348,6 +361,16 @@ class TestConstruction:
         with pytest.raises(GeometryError, match="dimension"):
             Simplex(0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Box([], []),
+        lambda: Ball([], 1.0),
+        lambda: L1Ball([], 1.0),
+        lambda: VPolytope(np.zeros((2, 0))),
+    ], ids=["Box", "Ball", "L1Ball", "VPolytope"])
+    def test_zero_dimension_rejected(self, make):
+        with pytest.raises(GeometryError, match="dimension must be >= 1"):
+            make()
+
     def test_vertices_deduplicated(self):
         poly = VPolytope([[0, 0], [0, 0], [1e-12, 0], [1, 1]])
         assert poly.vertices.shape == (2, 2)
@@ -403,20 +426,48 @@ def _dedup_clouds():
     return clouds
 
 
+def _assert_dedup_is_the_scalar_loop(pts, label):
+    """Every dedup path keeps the rows the scalar loop keeps, bit for bit."""
+    expected, flags = brute_distinct_rows(pts)
+    kept = VertexSet(pts[:1])
+    assert [True] + [kept.add(row) for row in pts[1:]] == flags, label
+    for got in (
+        kept.rows,
+        distinct_rows(pts),
+        VPolytope(pts).vertices,
+        FeasibilityProgram(pts, pts[:1]).u_points,
+    ):
+        assert got.shape == expected.shape, label
+        assert got.tobytes() == expected.tobytes(), label
+
+
 def test_one_dedup_rule_matches_the_scalar_loop():
     for i, pts in enumerate(_dedup_clouds()):
         with np.errstate(over="ignore"):  # squared distances overflow at 1e155 and up
-            expected, flags = brute_distinct_rows(pts)
-            kept = VertexSet(pts[:1])
-            assert [True] + [kept.add(row) for row in pts[1:]] == flags, i
-            for got in (
-                kept.rows,
-                distinct_rows(pts),
-                VPolytope(pts).vertices,
-                FeasibilityProgram(pts, pts[:1]).u_points,
-            ):
-                assert got.shape == expected.shape, i
-                assert got.tobytes() == expected.tobytes(), i
+            _assert_dedup_is_the_scalar_loop(pts, i)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(-40, 60),  # the cloud sits about 2**k from the origin
+    st.integers(-90, 0),  # its base points spread over 2**(k + spread)
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_dedup_screen_keeps_every_duplicate_at_every_scale(k, spread, d, seed):
+    # Past k = 22 a coordinate's ulp exceeds DEDUP_TOL, and near the top of
+    # the range the Gram screen's rounding dwarfs DEDUP_TOL**2 (scaled).
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    base = np.ldexp(rng.normal(size=d), k) + np.ldexp(rng.normal(size=(n, d)), k + spread)
+    unit = rng.normal(size=(2 * n, d))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    # Partners planted ulps either side of DEDUP_TOL, and near-duplicates
+    # at 0 to 2 DEDUP_TOL from a random base point.
+    planted = base + DEDUP_TOL * (1 + rng.integers(-8, 9, size=(n, 1)) * 2.0 ** -52) * unit[:n]
+    near = base[rng.integers(0, n, size=n)] + DEDUP_TOL * rng.uniform(0, 2, size=(n, 1)) * unit[n:]
+    pts = np.vstack([base, planted, near])
+    _assert_dedup_is_the_scalar_loop(pts[rng.permutation(3 * n)], (k, spread, d, seed))
 
 
 def same_bits(a, b) -> bool:
