@@ -4,20 +4,14 @@ The central question: do conv(U) and conv(V) share a point?  Writing a
 candidate as a convex combination on each side gives the linear program
 
     sum_u lam_u * u = sum_v kap_v * v,
-    sum_u lam_u = 1,  sum_v kap_v = 1,  lam >= 0,  kap >= 0,
+    sum_u lam_u = 1,  sum_v kap_v = 1,  lam >= 0,  kap >= 0.
 
-solved by ``solve_feasibility`` (``setmeet feastest``, ``epsilon_pq``)
-with a dense phase-1 simplex method and Bland's anti-cycling rule.
-Before pivoting, a least-squares Farkas screen decides most infeasible
-programs: any y with |y|_inf <= 1 bounds the phase-1 objective from
-below by y.b - 2 max(0, max(A^T y)), since the two convexity rows keep
-sum(lam) + sum(kap) <= 2.  The screen takes y from the least-squares
-residual of A z = b and answers None when that bound exceeds
-FEASIBLE_TOL; a program it does not decide gets exactly the simplex
-answer.  Wolfe's minimum-norm-point method runs every other hull
-question in one loop: ``hull_distance``, certified by its dual gap,
-answers distance and (through ``VPolytope.contains``) membership, and
-``hull_meet``, warm-startable, decides the adaptive checkpoints.
+Wolfe's minimum-norm-point method runs every hull question in one loop,
+``_wolfe``.  ``hull_meet`` decides this program by a meet or a strict
+separating hyperplane: warm-started at the adaptive checkpoints, and
+through ``solve_feasibility`` for ``setmeet feastest`` and
+``epsilon_pq``.  ``hull_distance``, certified by its dual gap, answers
+distance and (through ``VPolytope.contains``) membership.
 """
 
 from __future__ import annotations
@@ -32,8 +26,6 @@ from .oracles import (
     Array, DimensionMismatch, GeometryError, VPolytope, distinct_rows, euclidean_norm,
 )
 
-# Phase-1 objective at or below this value counts as feasible.
-FEASIBLE_TOL = 1e-9
 # hull_distance stops once its dual gap, in coordinates scaled to [1/2, 1), is this small.
 HULL_GAP_TOL = 2.0 ** -40
 # hull_meet reads a meet off Wolfe's loop once ||x||, in the same coordinates, is this small.
@@ -89,6 +81,8 @@ class FeasibleCombination:
 
 def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
     """Minimize the artificial-variable sum for A z = b, z >= 0.
+
+    Read only by perfbench's tracer: no solve path calls it.
 
     Returns (objective, z).  The system is feasible iff the objective is
     (numerically) zero, in which case z is a feasible basic solution.
@@ -152,70 +146,6 @@ def phase_one_simplex(a_eq: Array, b_eq: Array, *, max_pivots: int = 100_000):
     z = np.zeros(n + m)
     z[basis] = t[:m, -1]
     return float(-t[m, -1]), z[:n]
-
-
-def _normalised_program(prog: FeasibilityProgram) -> tuple[Array, Array]:
-    """The hull-intersection program as A z = b, z = (lam, kap), rows at unit norm."""
-    u, v = prog.u_points, prog.v_points
-    ku, kv = u.shape[0], v.shape[0]
-    n = prog.dimension
-
-    a = np.zeros((n + 2, ku + kv))
-    a[:n, :ku] = u.T
-    a[:n, ku:] = -v.T
-    a[n, :ku] = 1.0
-    a[n + 1, ku:] = 1.0
-    b = np.zeros(n + 2)
-    b[n] = 1.0
-    b[n + 1] = 1.0
-
-    # Unit row norms keep the phase-1 tolerance uniform across scales.
-    for i in range(n + 2):
-        norm = euclidean_norm(a[i])
-        if norm > 1e-12:
-            a[i] /= norm
-            b[i] /= norm
-    return a, b
-
-
-def _farkas_infeasible(a: Array, b: Array) -> bool:
-    """True when a least-squares residual proves the phase-1 objective > FEASIBLE_TOL.
-
-    Every phase-1 point has slack s = b - A z >= 0 with z >= 0, and the
-    two normalised convexity rows give sum(z) <= 2.  So for |y|_inf <= 1
-    the objective 1.s >= y.s = y.b - (A^T y).z >= y.b - 2 max(0, max(A^T y)).
-    The bound holds for any such y; lstsq only proposes one.
-    """
-    r = b - a @ np.linalg.lstsq(a, b, rcond=None)[0]
-    scale = float(np.abs(r).max())
-    if not scale > 0.0:
-        return False
-    y = r / scale
-    bound = float(y @ b) - 2.0 * max(0.0, float((a.T @ y).max()))
-    return bound > FEASIBLE_TOL
-
-
-def solve_feasibility(prog: FeasibilityProgram) -> FeasibleCombination | None:
-    """Weights meeting the hull-intersection program, or None if infeasible.
-
-    The program is first screened (``_farkas_infeasible``): with r the
-    least-squares residual of A z = b and y = r / max|r|, the phase-1
-    objective is at least y.b - 2 max(0, max(A^T y)); when that exceeds
-    FEASIBLE_TOL the answer is None without pivoting.  Otherwise
-    ``phase_one_simplex`` decides it.
-    """
-    u = prog.u_points
-    ku = u.shape[0]
-    a, b = _normalised_program(prog)
-    if _farkas_infeasible(a, b):
-        return None
-    objective, z = phase_one_simplex(a, b)
-    if objective > FEASIBLE_TOL:
-        return None
-    combo = _combination(u, prog.v_points, z[:ku], z[ku:])
-    if combo.residual > RESIDUAL_TOL:
-        raise RuntimeError(f"feasible basis with residual {combo.residual:.3e}")
-    return combo
 
 
 def _combination(u: Array, v: Array, lam: Array, kappa: Array) -> FeasibleCombination:
@@ -377,11 +307,27 @@ def hull_meet(u_points, v_points, start: HullMeet | None = None) -> HullMeet:
     return HullMeet(combination, direction, support, w, ku)
 
 
+def solve_feasibility(prog: FeasibilityProgram) -> FeasibleCombination | None:
+    """Weights on which the two hulls meet, or None when they are separated.
+
+    ``hull_meet`` decides the program's lists from a cold start.  A meet
+    returns its combination, residual at most RESIDUAL_TOL.  A
+    separation, a direction x with min_u <x, u> > max_v <x, v> in
+    rounded arithmetic, returns None.  No verdict (a stall, the step
+    limit, or a meet rejected by the residual rule) raises RuntimeError.
+    """
+    meet = hull_meet(prog.u_points, prog.v_points)
+    if meet.combination is None and meet.direction is None:
+        raise RuntimeError("hull_meet reached no verdict: the loop stalled, hit its "
+                           "step limit or found a meet above the residual rule")
+    return meet.combination
+
+
 def epsilon_pq(set_p: VPolytope, set_q: VPolytope) -> float:
     """Smallest positive distance among disjoint sub-hull pairs.
 
     Enumerates every nonempty subset pair of the two vertex lists, keeps
-    the pairs whose hulls the LP finds disjoint, and returns their
+    the pairs whose hulls ``hull_meet`` separates, and returns their
     minimum hull distance.  Below this threshold, hulls of seen vertices
     are guaranteed to intersect.  Returns +inf when no disjoint pair
     exists.  Exponential in the vertex counts; guarded to 16 vertices.

@@ -132,6 +132,25 @@ def random_feasibility_program(rng):
     return u, v
 
 
+def highs_feasible(u, v):
+    """HiGHS's verdict on the hull-intersection program of two point lists, at 1e-10 tolerances."""
+    from scipy import optimize
+
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    ku, kv = len(u), len(v)
+    a_eq = np.vstack([np.hstack([u.T, -v.T]),
+                      np.r_[np.ones(ku), np.zeros(kv)],
+                      np.r_[np.zeros(ku), np.ones(kv)]])
+    b_eq = np.r_[np.zeros(u.shape[1]), 1.0, 1.0]
+    res = optimize.linprog(
+        np.zeros(ku + kv), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
 def scaled_set(geom, k: int):
     """``geom`` scaled about the origin by 2**k, built afresh from its defining data."""
     s = 2.0 ** k

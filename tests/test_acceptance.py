@@ -35,6 +35,7 @@ from helpers import (
     brute_support_gap,
     brute_vertex_argmin,
     fd_gradient_check,
+    highs_feasible,
     kept_duals,
     kept_margins,
     random_feasibility_program,
@@ -301,14 +302,14 @@ def test_09_numerical_hygiene():
         for row in trace.rows:
             min_dist_ok = min_dist_ok and np.dot(row.x - row.y, d) >= dist_sq - 1e-9
 
-    # LP feasibility agrees with the hull-distance route on 200 programs.
+    # solve_feasibility agrees with HiGHS and with the hull-distance route on 200 programs.
     rng2 = np.random.default_rng(20240817)
     lp_ok = True
     for _ in range(200):
         u, v = random_feasibility_program(rng2)
         feasible = solve_feasibility(FeasibilityProgram(u, v)) is not None
         distance = hull_distance(u, v)
-        lp_ok = lp_ok and (feasible == (distance <= 1e-6))
+        lp_ok = lp_ok and feasible == highs_feasible(u, v) == (distance <= 1e-6)
 
     ok = proj_ok and min_dist_ok and lp_ok
     _report(

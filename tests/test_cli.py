@@ -248,6 +248,15 @@ class TestProbes:
         path = write_spec(tmp_path, set_p={"kind": "ball", "center": [0, 0], "radius": 1})
         assert main(["feastest", str(path)]) == 3
 
+    def test_feastest_without_a_verdict_exits_three(self, tmp_path, monkeypatch, capsys):
+        def undecided(u_points, v_points, start=None):
+            return setmeet.HullMeet(None, None, np.array([0, len(u_points)]), np.ones(2),
+                                    len(u_points))
+
+        monkeypatch.setattr(setmeet.feasibility, "hull_meet", undecided)
+        assert main(["feastest", str(write_spec(tmp_path))]) == 3
+        assert capsys.readouterr().err.startswith("error: hull_meet reached no verdict")
+
 
 GOLDEN_BENCH = Path(__file__).with_name("golden_bench.json")
 BENCH_SUITES = ("rates", "certificates", "adaptive", "pocs-vs-alm")

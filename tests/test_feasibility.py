@@ -1,11 +1,15 @@
+import collections
 import itertools
 import math
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import setmeet
 from setmeet import (
     DimensionMismatch,
     FeasibilityProgram,
@@ -20,8 +24,15 @@ from setmeet import (
     solve_feasibility,
 )
 from setmeet import alm, feasibility
-from setmeet.feasibility import FEASIBLE_TOL
-from helpers import brute_hull_distance_2d, brute_phase_one_simplex, random_feasibility_program
+from setmeet.cli import main
+from setmeet.feasibility import RESIDUAL_TOL
+from setmeet.instances import ADAPTIVE_INSTANCES
+from helpers import (
+    brute_hull_distance_2d, brute_phase_one_simplex, highs_feasible, random_feasibility_program,
+)
+from test_cli import SEG_LEFT, SEG_RIGHT, write_spec
+
+REPO = Path(__file__).parents[1]
 
 TRIANGLE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
 SEGMENT = np.array([[1.0, 1.0], [3.0, 1.0]])
@@ -56,6 +67,88 @@ class TestSolveFeasibility:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             FeasibilityProgram([[0.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+    def test_disjoint_hulls_whose_spans_meet(self):
+        prog = FeasibilityProgram([[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0]])
+        assert solve_feasibility(prog) is None
+
+    # hull-lp programs (seed: name) that the phase-1 simplex, when it decided
+    # them, rejected with residuals of 1.8e-8 to 0.27.
+    SIMPLEX_REJECTED = {6: "n100.feasible1", 7: "n100.feasible6", 10: "n100.feasible5",
+                        15: "n400.feasible1", 18: "n100.feasible7"}
+
+    def test_feasible_hull_lp_programs_pass_the_bench_checks(self, monkeypatch, tmp_path):
+        # The workload's check runs perfbench.checks.check_combination on the answer.
+        monkeypatch.syspath_prepend(str(REPO))
+        from perfbench import workloads
+
+        for seed, name in self.SIMPLEX_REJECTED.items():
+            batch = workloads.build(setmeet, "hull-lp", seed, "full", tmp_path)
+            solve = next(s for s in batch if s.name == name)
+            outcome = solve.check(solve.call())
+            assert (outcome.verdict, outcome.problems) == ("intersection", []), (seed, name)
+
+    def test_far_point_of_a_large_polytope_is_separated_quickly(self):
+        # The phase-1 simplex cycled on this program until its pivot limit.
+        poly = VPolytope(np.random.default_rng(0).normal(size=(300, 30)))
+        prog = FeasibilityProgram(poly.vertices, [3.0 * poly.vertices[0]])
+        start = time.perf_counter()
+        assert solve_feasibility(prog) is None
+        assert time.perf_counter() - start < 2.0
+
+    def test_near_misses_meet_separate_or_raise(self):
+        """Hulls 1e-12 to 1e-6 apart: a meet within RESIDUAL_TOL, None with
+        hull_meet's separating direction, or a RuntimeError naming hull_meet.
+
+        The direction's margin min_u <x, u> - max_v <x, v> is computed
+        exactly.  Wolfe's separated exit compares rounded products with no
+        margin, so one draw's direction separates only up to their rounding.
+        """
+        rng = np.random.default_rng(0)
+        outcomes = collections.Counter()
+        for _ in range(1000):
+            prog = FeasibilityProgram(*_near_miss_pair(rng))
+            u, v = prog.u_points, prog.v_points
+            try:
+                combo = solve_feasibility(prog)
+            except RuntimeError as exc:
+                assert "hull_meet" in str(exc)
+                outcomes["raise"] += 1
+                continue
+            if combo is None:
+                x = hull_meet(u, v).direction
+                assert x is not None
+                margin = _exact_margin(u, v, x)
+                if margin > 0:
+                    outcomes["separated"] += 1
+                else:
+                    rounding = (u.shape[1] + 2) * 2.0 ** -52 * (
+                        (np.abs(u) @ np.abs(x)).max() + (np.abs(v) @ np.abs(x)).max())
+                    assert -margin <= rounding
+                    outcomes["separated within rounding"] += 1
+            else:
+                assert combo.residual <= RESIDUAL_TOL
+                outcomes["meet"] += 1
+        assert outcomes == {"meet": 44, "separated": 908, "separated within rounding": 1,
+                            "raise": 47}
+
+    def test_agrees_with_scipy_linprog(self):
+        """solve_feasibility's verdict against HiGHS on the raw program.
+
+        HiGHS runs at 1e-10 tolerances, so a near miss counts only where
+        hull_meet separates the hulls by a slab wider than 1e-8.
+        """
+        pytest.importorskip("scipy.optimize")
+        counted = dict.fromkeys(HULL_PROGRAM_KINDS, 0)
+        for kind, prog in _hull_programs(72, 150):
+            u, v = prog.u_points, prog.v_points
+            if kind == "near-miss":
+                x = hull_meet(u, v).direction
+                if x is None or _slab_width(u, v, x) <= 1e-8:
+                    continue
+            assert (solve_feasibility(prog) is not None) == highs_feasible(u, v), (kind, prog)
+            counted[kind] += 1
+        assert counted == {**dict.fromkeys(HULL_PROGRAM_KINDS, 150), "near-miss": 41}
 
     def test_phase_one_objective_zero_iff_feasible(self):
         # x = 1, solvable: objective 0.  x = 1 and x = 2, not solvable.
@@ -175,64 +268,17 @@ def _hull_programs(seed, per_kind):
             yield kind, FeasibilityProgram(*draw(rng))
 
 
-class TestFarkasScreen:
-    def test_fires_only_on_programs_the_simplex_finds_infeasible(self):
-        fired = dict.fromkeys(HULL_PROGRAM_KINDS, 0)
-        for kind, prog in _hull_programs(71, 300):
-            a, b = feasibility._normalised_program(prog)
-            if feasibility._farkas_infeasible(a, b):
-                fired[kind] += 1
-                objective, _ = phase_one_simplex(a, b)
-                assert objective > FEASIBLE_TOL, (kind, prog)
-        assert all(fired[kind] > 0 for kind in ("near-miss", "separated", "integer")), fired
-
-    def test_bound_proves_a_column_poor_program_infeasible(self):
-        # Two points against one in 3-d: the spans miss, and no pivot is needed.
-        prog = FeasibilityProgram([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.5, 1e-6, 0.0]])
-        assert feasibility._farkas_infeasible(*feasibility._normalised_program(prog))
-        # Spans that meet prove nothing, even when the hulls are disjoint.
-        prog = FeasibilityProgram([[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0]])
-        assert not feasibility._farkas_infeasible(*feasibility._normalised_program(prog))
-        assert solve_feasibility(prog) is None
-
-    def test_agrees_with_scipy_linprog(self):
-        """solve_feasibility's verdict against HiGHS on the raw program.
-
-        HiGHS runs at 1e-10 tolerances.  Near misses enter only where the
-        screen decides them.  Those it leaves to the simplex include hulls
-        closer than FEASIBLE_TOL, where the two solvers' tolerances may
-        differ and where phase_one_simplex can stop at a non-optimal basis
-        or fail its residual check.
-        """
-        pytest.importorskip("scipy.optimize")
-        screened = 0
-        for kind, prog in _hull_programs(72, 150):
-            a, b = feasibility._normalised_program(prog)
-            if kind == "near-miss":
-                if not feasibility._farkas_infeasible(a, b):
-                    continue
-                screened += 1
-            assert (solve_feasibility(prog) is not None) == _highs_feasible(prog), (kind, prog)
-        assert screened > 0
+def _exact_margin(u, v, x):
+    """min_u <x, u> - max_v <x, v> in exact rational arithmetic."""
+    xs = [Fraction(t) for t in x.tolist()]
+    u_dots, v_dots = ([sum(Fraction(a) * b for a, b in zip(row, xs)) for row in rows.tolist()]
+                      for rows in (u, v))
+    return min(u_dots) - max(v_dots)
 
 
-def _highs_feasible(prog):
-    """HiGHS's verdict on the raw hull-intersection program, at 1e-10 tolerances."""
-    from scipy import optimize
-
-    u, v = prog.u_points, prog.v_points
-    ku, kv = len(u), len(v)
-    a_eq = np.vstack([np.hstack([u.T, -v.T]),
-                      np.r_[np.ones(ku), np.zeros(kv)],
-                      np.r_[np.zeros(ku), np.ones(kv)]])
-    b_eq = np.r_[np.zeros(prog.dimension), 1.0, 1.0]
-    res = optimize.linprog(
-        np.zeros(ku + kv), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
-    assert res.status in (0, 2), res.message
-    return res.status == 0
+def _slab_width(u, v, x):
+    """Width of the slab {min_u <x, u> >= <x, .> >= max_v <x, v>} between the lists."""
+    return ((u @ x).min() - (v @ x).max()) / np.linalg.norm(x)
 
 
 def _polytope_pair(rng, d, offset):
@@ -256,17 +302,16 @@ CHECKPOINT_RUNS = {
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("an adaptive checkpoint reached the LP")
+    raise AssertionError("a package path reached phase_one_simplex")
 
 
 @pytest.mark.parametrize("rule", [StepRule.AGNOSTIC, StepRule.SHORT_STEP], ids=lambda r: r.value)
 @pytest.mark.parametrize("d", [5, 8])
 def test_screen_leaves_adaptive_runs_bit_for_bit(monkeypatch, d, rule):
-    """Checkpoints reach neither the screen nor the simplex, and every run
-    stops where, and with the verdict and LMO count, it did under the LP."""
+    """Checkpoints never reach the simplex, and every run stops where, and
+    with the verdict and LMO count, it did under the LP."""
     rng = np.random.default_rng(100 + d)
     pairs = [_polytope_pair(rng, d, offset) for offset in (0.3, 0.6, 1.0, 1.5, 2.0, 3.0)]
-    monkeypatch.setattr(feasibility, "_farkas_infeasible", _refuse)
     monkeypatch.setattr(feasibility, "phase_one_simplex", _refuse)
     certs = [adaptive_run(p, q, rule, 512).certificate for p, q in pairs]
     got = [(cert.verdict, cert.lmo_calls, cert.iterations) for cert in certs]
@@ -291,6 +336,21 @@ def test_adaptive_checkpoints_pivot_less_often_than_they_solve(monkeypatch):
     p, q = _polytope_pair(np.random.default_rng(5), 8, 0.3)
     adaptive_run(p, q, StepRule.AGNOSTIC, 512)
     assert calls["phase_one_simplex"] == 0 < calls["hull_meet"]
+
+
+def test_no_package_path_reaches_the_simplex(monkeypatch, tmp_path):
+    # phase_one_simplex stays only as a name perfbench's tracer wraps.
+    monkeypatch.setattr(feasibility, "phase_one_simplex", _refuse)
+    assert main(["feastest", str(write_spec(tmp_path, name="meet.json"))]) == 0
+    path = write_spec(tmp_path, name="apart.json", set_p=SEG_LEFT, set_q=SEG_RIGHT)
+    assert main(["feastest", str(path)]) == 1
+    for inst in ADAPTIVE_INSTANCES:
+        epsilon_pq(inst.set_p, inst.set_q)
+    for kind, prog in _hull_programs(71, 50):
+        try:
+            solve_feasibility(prog)
+        except RuntimeError as exc:  # a near miss may end without a verdict
+            assert kind == "near-miss" and "hull_meet" in str(exc)
 
 
 def _shifted_apart(kind, prog):
@@ -321,15 +381,14 @@ class TestHullMeet:
             answer = hull_meet(prog.u_points, prog.v_points)
             _check_answer(prog.u_points, prog.v_points, answer)
             if answer.combination is not None:
-                assert _highs_feasible(prog), (kind, prog)
+                assert highs_feasible(prog.u_points, prog.v_points), (kind, prog)
                 assert not _shifted_apart(kind, prog), (kind, prog)
             if answer.direction is not None:
                 assert kind != "intersecting", prog
                 x = answer.direction
-                width = ((prog.u_points @ x).min() - (prog.v_points @ x).max()) / np.linalg.norm(x)
                 # HiGHS's 1e-10 tolerances cannot see a thinner slab between the hulls.
-                if width > 1e-8:
-                    assert not _highs_feasible(prog), (kind, prog)
+                if _slab_width(prog.u_points, prog.v_points, x) > 1e-8:
+                    assert not highs_feasible(prog.u_points, prog.v_points), (kind, prog)
                     separated[kind] += 1
             answered[kind] += answer.combination is not None or answer.direction is not None
         # Left without a verdict: four near misses 4e-12 to 3e-10 apart, where the loop stalls.
@@ -348,6 +407,7 @@ class TestHullMeet:
         _check_answer(u, v, answer)
         assert (answer.combination is not None) == (
             solve_feasibility(FeasibilityProgram(u, v)) is not None)
+        assert (answer.combination is not None) == highs_feasible(u, v)
         assert answer.combination is not None or answer.direction is not None
 
     def test_warm_start_decides_as_a_cold_start_in_fewer_solves(self, monkeypatch):
@@ -409,6 +469,7 @@ class TestHullDistance:
         for _ in range(200):
             u, v = random_feasibility_program(rng)
             feasible = solve_feasibility(FeasibilityProgram(u, v)) is not None
+            assert feasible == highs_feasible(u, v)
             distance = hull_distance(u, v)
             if feasible:
                 feasible_seen += 1
@@ -464,7 +525,7 @@ class TestEpsilon:
         p = VPolytope([[0.0, 0.0], [4.0, 0.0]])
         q = VPolytope([[1.0, 1.0], [3.0, 1.0], [2.0, -1.0]])
         eps = epsilon_pq(p, q)
-        # Re-enumerate here, pair by pair; the LP decides which pairs are disjoint.
+        # Re-enumerate here, pair by pair; solve_feasibility decides which pairs are disjoint.
         best = math.inf
         pk, qk = p.vertices.shape[0], q.vertices.shape[0]
         for mu in range(1, 1 << pk):
