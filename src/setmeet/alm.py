@@ -39,6 +39,13 @@ vertices the LMOs have returned so far: ``feasibility.hull_meet`` runs
 Wolfe's minimum-norm-point method on the two stores, warm-started from
 the previous checkpoint's support, and one such decision is charged as
 one LMO call.
+
+Both solvers run one loop, and their traces differ in two columns only,
+both pinned by ``perfbench/golden.json`` until a benchmark change
+re-records it: ``alm_run``'s ``lmo_calls`` column leaves out the two
+start calls that its certificate counts, where ``adaptive_run``'s counts
+them; and ``alm_run``'s even rows carry <x - y, x - y> where
+``adaptive_run``'s carry ||x - y|| squared, which may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .cbcg import (
-    BlockProblem,
     ConvexCombination,
     IterateTrace,
     StepRule,
@@ -152,11 +158,7 @@ class AlmResult(NamedTuple):
     @property
     def distance_sq(self) -> list[float]:
         """||x_t - y_t||^2 at every iterate, the final one included."""
-        return _distance_sq(self.trace)
-
-
-def _distance_sq(trace: IterateTrace) -> list[float]:
-    return [row.objective for row in trace.rows[::2]] + [trace.final_objective]
+        return [row.objective for row in self.trace.rows[::2]] + [self.trace.final_objective]
 
 
 def default_start(set_p: OracleSet, set_q: OracleSet) -> tuple[Array, Array]:
@@ -170,8 +172,16 @@ def _add_seen(comb: ConvexCombination, vertex: Array) -> bool:
     return comb.add(vertex)
 
 
-def _begin(set_p, set_q, rule, max_iters, start):
-    """Validate a run; return its problem, empty trace, points and start calls."""
+def _alternate(set_p, set_q, rule, max_iters, start, adaptive, *,
+               keep_points=False, stop_on_contact=True) -> AlmResult:
+    """The alternating loop behind ``alm_run`` and ``adaptive_run``.
+
+    Iteration t steps x, then y against the new x: the engine's block
+    steps on the distance objective, trace rows 2t and 2t + 1.  Contact
+    is tested before each sweep and after the last.  With ``adaptive``
+    a checkpoint follows the sweeps t = 2^k; without it the run ends on
+    the separation test.
+    """
     if set_p.dim != set_q.dim:
         raise DimensionMismatch(
             f"sets live in dimensions {set_p.dim} and {set_q.dim}"
@@ -183,45 +193,80 @@ def _begin(set_p, set_q, rule, max_iters, start):
         points, calls = list(default_start(set_p, set_q)), 2
     else:
         points, calls = _check_start(problem, start), 0
+    # alm_run's lmo_calls column leaves out the start calls; adaptive_run's counts them.
+    column_base = 0 if adaptive else calls
     trace = IterateTrace(rule=rule, k=2)
     trace.combinations = [ConvexCombination(p) for p in points]
-    return problem, trace, points, calls
+    comb_x, comb_y = trace.combinations
+    if keep_points:
+        trace.points = [[p.copy() for p in points]]
 
-
-def _sweep(problem: BlockProblem, trace: IterateTrace, points: list[Array], t: int,
-           objective: float, calls: int, u: Array | None = None) -> int:
-    """Iteration t: step x, then y against the new x; returns the LMO count.
-
-    Both steps are the engine's block steps on the distance objective,
-    trace rows 2t and 2t + 1.  ``objective`` is ||x - y||^2 as the
-    caller measured it; a ``u`` the caller already holds for direction
-    x - y replaces the first LMO call and is not charged again.
-    """
-    if u is None:
+    u: Array | None = None  # a checkpoint's LMO output along x - y, the next first call
+    meet = None  # the previous checkpoint's hull_meet answer, its warm start
+    decided_size = -1
+    diameters: tuple[float, float] | None = None  # measured once a margin may certify
+    best_dsq = math.inf
+    certificate: Certificate | None = None
+    contact = False
+    for t in range(max_iters + 1):
+        d = points[0] - points[1]
+        dsq = float(np.vdot(d, d))
+        dist = math.sqrt(dsq)
+        best_dsq = min(best_dsq, dsq)
+        if stop_on_contact and dist <= CONTACT_TOL:
+            contact = True
+            break
+        if t == max_iters:
+            break
+        # adaptive_run's even rows carry ||d|| squared, alm_run's <d, d>.
+        objective = dist * dist if adaptive else dsq
+        if u is None:
+            calls += 1
+        block_step(problem, trace, points, 2 * t, objective, calls - column_base, vertex=u)
         calls += 1
-    block_step(problem, trace, points, 2 * t, objective, calls, vertex=u)
-    calls += 1
-    block_step(problem, trace, points, 2 * t + 1, problem.value(points), calls)
-    return calls
+        block_step(problem, trace, points, 2 * t + 1, problem.value(points),
+                   calls - column_base)
+        u = None
+        if keep_points:
+            trace.points.append([p.copy() for p in points])
 
+        if adaptive and t >= 1 and t & (t - 1) == 0:
+            g = points[0] - points[1]
+            u, b = set_p.lmo(g), set_q.lmo(-g)
+            calls += 2
+            _add_seen(comb_x, u)
+            _add_seen(comb_y, b)
+            margin = float(np.dot(g, u) - np.dot(g, b))
+            if margin > MARGIN_FLOOR:
+                diameters = diameters or (set_p.diameter(), set_q.diameter())
+                if separates(g, margin, *diameters):
+                    certificate = Disjoint(g.copy(), margin, calls, t + 1)
+                    break
+            if len(comb_x.rows) + len(comb_y.rows) != decided_size:
+                decided_size = len(comb_x.rows) + len(comb_y.rows)
+                calls += 1
+                meet = hull_meet(comb_x.rows, comb_y.rows, meet)
+                combo = meet.combination
+                if combo is not None:
+                    certificate = intersection_point(
+                        combo.point, combo.lam, comb_x.rows, combo.kappa, comb_y.rows,
+                        calls, t + 1,
+                    )
+                    break
 
-def _finish(problem: BlockProblem, trace: IterateTrace, points: list[Array],
-            calls: int) -> AlmState:
-    """Close the trace at ``points`` and build the state; t counts completed sweeps."""
     trace.final_points = points
     trace.final_objective = problem.value(points)
-    return AlmState(
-        set_p=problem.blocks[0],
-        set_q=problem.blocks[1],
-        x=points[0],
-        y=points[1],
-        t=len(trace.rows) // 2,
-        seen_p=trace.combinations[0].rows,
-        seen_q=trace.combinations[1].rows,
-        lmo_calls=calls,
-        comb_x=trace.combinations[0],
-        comb_y=trace.combinations[1],
+    state = AlmState(
+        set_p=set_p, set_q=set_q, x=points[0], y=points[1], t=len(trace.rows) // 2,
+        seen_p=comb_x.rows, seen_q=comb_y.rows, lmo_calls=calls,
+        comb_x=comb_x, comb_y=comb_y,
     )
+    if contact:  # x as the combination of each block's store
+        certificate = intersection_point(points[0], comb_x.weights, comb_x.rows,
+                                         comb_y.weights, comb_y.rows, calls, state.t)
+    elif not adaptive:  # alm_run decides after its last sweep; adaptive_run at checkpoints
+        certificate = certify_disjoint_free(state)
+    return AlmResult(certificate or Undecided(math.sqrt(best_dsq), calls, state.t), trace, state)
 
 
 def alm_run(
@@ -238,38 +283,15 @@ def alm_run(
 
     The verdict: contact (tested before each sweep and after the last,
     and stopped on when ``stop_on_contact`` is set) gives an
-    intersection point over the stores; otherwise the separation test at the final direction (``certify_disjoint_free``,
-    two uncharged LMO calls) gives a disjointness certificate; otherwise
-    the run is undecided at its smallest gap.  With ``keep_points`` the
-    trace holds every iterate, from which per-iterate probes such as
+    intersection point over the stores; otherwise the separation test
+    at the final direction (``certify_disjoint_free``, two uncharged LMO
+    calls) gives a disjointness certificate; otherwise the run is
+    undecided at its smallest gap.  With ``keep_points`` the trace holds
+    every iterate, from which per-iterate probes such as
     ``support_gap`` along x_t - y_t can be read off.
     """
-    problem, trace, points, init_calls = _begin(set_p, set_q, rule, max_iters, start)
-    if keep_points:
-        trace.points = [[p.copy() for p in points]]
-
-    calls = 0
-    contact = False
-    for t in range(max_iters + 1):
-        d = points[0] - points[1]
-        dsq = float(np.dot(d, d))
-        if stop_on_contact and math.sqrt(dsq) <= CONTACT_TOL:
-            contact = True
-            break
-        if t == max_iters:
-            break
-        calls = _sweep(problem, trace, points, t, dsq, calls)
-        if keep_points:
-            trace.points.append([p.copy() for p in points])
-
-    state = _finish(problem, trace, points, init_calls + calls)
-    if contact:
-        certificate = _contact(state)
-    else:
-        certificate = certify_disjoint_free(state) or Undecided(
-            math.sqrt(min(_distance_sq(trace))), state.lmo_calls, state.t
-        )
-    return AlmResult(certificate, trace, state)
+    return _alternate(set_p, set_q, rule, max_iters, start, False,
+                      keep_points=keep_points, stop_on_contact=stop_on_contact)
 
 
 def dual_quantity(state: AlmState) -> float:
@@ -361,14 +383,6 @@ def intersection_point(point, weights_p, rows_p, weights_q, rows_q,
     )
 
 
-def _contact(state: AlmState) -> IntersectionPoint:
-    """The contact verdict: x as the combination of each block's store."""
-    return intersection_point(
-        state.x, state.comb_x.weights, state.seen_p, state.comb_y.weights, state.seen_q,
-        state.lmo_calls, state.t,
-    )
-
-
 def adaptive_run(
     set_p: OracleSet,
     set_q: OracleSet,
@@ -387,58 +401,4 @@ def adaptive_run(
     or its step limit lets the run go on.  Runs on any geometry; the
     hull route is exact for polytopes.
     """
-    problem, trace, points, calls = _begin(set_p, set_q, rule, max_iters, start)
-    comb_x, comb_y = trace.combinations
-    diameters: tuple[float, float] | None = None  # measured once a margin may certify
-
-    cached_u: Array | None = None
-    meet = None  # the previous checkpoint's hull_meet answer, its warm start
-    decided_size = -1
-    best_distance = math.inf
-    certificate: Certificate | None = None
-    contact = False
-
-    for t in range(max_iters + 1):
-        dist = euclidean_norm(points[0] - points[1])
-        best_distance = min(best_distance, dist)
-        if dist <= CONTACT_TOL:
-            contact = True
-            break
-        if t == max_iters:
-            break
-        calls = _sweep(problem, trace, points, t, dist * dist, calls, cached_u)
-        cached_u = None
-
-        if t >= 1 and t & (t - 1) == 0:
-            g = points[0] - points[1]
-            a = set_p.lmo(g)
-            b = set_q.lmo(-g)
-            calls += 2
-            _add_seen(comb_x, a)
-            _add_seen(comb_y, b)
-            # The next iteration's first LMO uses this same direction.
-            cached_u = a
-            margin = float(np.dot(g, a) - np.dot(g, b))
-            if margin > MARGIN_FLOOR:
-                diameters = diameters or (set_p.diameter(), set_q.diameter())
-                if separates(g, margin, *diameters):
-                    certificate = Disjoint(g.copy(), margin, calls, t + 1)
-                    break
-            if len(comb_x.rows) + len(comb_y.rows) != decided_size:
-                decided_size = len(comb_x.rows) + len(comb_y.rows)
-                calls += 1
-                meet = hull_meet(comb_x.rows, comb_y.rows, meet)
-                combo = meet.combination
-                if combo is not None:
-                    certificate = intersection_point(
-                        combo.point, combo.lam, comb_x.rows, combo.kappa, comb_y.rows,
-                        calls, t + 1,
-                    )
-                    break
-
-    state = _finish(problem, trace, points, calls)
-    if contact:
-        certificate = _contact(state)
-    elif certificate is None:
-        certificate = Undecided(best_distance, calls, max_iters)
-    return AlmResult(certificate, trace, state)
+    return _alternate(set_p, set_q, rule, max_iters, start, True)

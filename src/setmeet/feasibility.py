@@ -330,7 +330,9 @@ def epsilon_pq(set_p: VPolytope, set_q: VPolytope) -> float:
     the pairs whose hulls ``hull_meet`` separates, and returns their
     minimum hull distance.  Below this threshold, hulls of seen vertices
     are guaranteed to intersect.  Returns +inf when no disjoint pair
-    exists.  Exponential in the vertex counts; guarded to 16 vertices.
+    exists.  A sub-hull pair that ``hull_meet`` reaches no verdict on
+    raises RuntimeError (through ``solve_feasibility``).  Exponential in
+    the vertex counts; guarded to 16 vertices.
     """
     u = set_p.vertices
     v = set_q.vertices

@@ -432,9 +432,10 @@ def test_large_scales_raise_nothing(k):
 def test_adaptive_run_is_alm_run_plus_checkpoints(inst, rule):
     """Until it stops, the adaptive run takes alm_run's steps.
 
-    The lmo_calls column differs (the adaptive count includes the start,
-    checkpoint and LP charges), and even rows carry the objective as
-    ||x - y|| squared rather than <x - y, x - y>.
+    The lmo_calls column differs (the adaptive count includes the start
+    calls, the checkpoint probes and one call per hull_meet decision),
+    and even rows carry the objective as ||x - y|| squared rather than
+    <x - y, x - y>.
     """
     _cert, trace, _state = adaptive_run(inst.set_p, inst.set_q, rule, 300)
     plain = alm_run(inst.set_p, inst.set_q, rule, 300).trace
@@ -447,6 +448,33 @@ def test_adaptive_run_is_alm_run_plus_checkpoints(inst, rule):
             assert mine.objective == theirs.objective
         else:
             assert mine.objective == pytest.approx(theirs.objective, rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("run", [alm_run, adaptive_run], ids=lambda run: run.__name__)
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
+@pytest.mark.parametrize("inst", TWO_SET_INSTANCES, ids=lambda inst: inst.name)
+def test_explicit_default_start_is_the_default_run(inst, rule, run):
+    """Handing the run default_start's points gives the default run bit for bit.
+
+    Only the two start calls move: a supplied start is not charged, so the
+    certificate and the state count two calls fewer, and so does
+    adaptive_run's lmo_calls column, which counts the start; alm_run's
+    column leaves the start out either way.
+    """
+    def rows(trace, shift=0):
+        return np.array([(r.t, r.block, r.objective, r.block_gap, r.gamma, r.lmo_calls + shift)
+                         for r in trace.rows]).tobytes()
+
+    p, q = inst.set_p, inst.set_q
+    default = run(p, q, rule, 300)
+    given = run(p, q, rule, 300, start=default_start(p, q))
+    assert rows(given.trace, 2 if run is adaptive_run else 0) == rows(default.trace)
+    for mine, theirs in zip(given.trace.final_points, default.trace.final_points):
+        assert mine.tobytes() == theirs.tobytes()
+    assert given.certificate.verdict == default.certificate.verdict
+    assert given.certificate.iterations == default.certificate.iterations
+    assert given.certificate.lmo_calls == default.certificate.lmo_calls - 2
+    assert given.state.lmo_calls == default.state.lmo_calls - 2
 
 
 @pytest.mark.parametrize("runner", ["alm_run", "adaptive_run"])

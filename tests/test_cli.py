@@ -410,17 +410,17 @@ def test_solve_outputs_match_golden(tmp_path, inst, rule):
 
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+PERFBENCH_GOLDEN = PERFBENCH / "golden.json"
 
 
-def test_solve_outputs_match_perfbench_golden(tmp_path, monkeypatch):
-    # Every trace digest the benchmark pins, at each recorded budget, from
-    # the spec its cli-long-runs workload writes for that pair.
-    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+def perfbench_digests(tmp_path: Path) -> dict:
+    """sha256 of the trace CSV at every key the benchmark pins, each at its
+    recorded budget, from the spec its cli-long-runs workload writes for
+    that pair.  Needs the repository root on sys.path."""
     from perfbench.workloads import FIXED_PAIRS
 
-    golden = json.loads((PERFBENCH / "golden.json").read_text())
     got = {}
-    for key in golden:
+    for key in json.loads(PERFBENCH_GOLDEN.read_text()):
         pair, algorithm, budget = key.rsplit(".", 2)
         geom_p, geom_q, _intersecting = FIXED_PAIRS[pair]
         dimension = len(geom_p.get("center", geom_p.get("lower")))
@@ -432,7 +432,31 @@ def test_solve_outputs_match_perfbench_golden(tmp_path, monkeypatch):
         with redirect_stdout(io.StringIO()):
             main(["solve", str(path)])
         got[key] = hashlib.sha256(csv.read_bytes()).hexdigest()
-    assert got == golden
+    return got
+
+
+def test_solve_outputs_match_perfbench_golden(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    assert perfbench_digests(tmp_path) == json.loads(PERFBENCH_GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("solver", ["alm_run", "adaptive_run"])
+def test_tracer_books_each_run_under_its_own_solver(monkeypatch, solver):
+    # One span per run, named for the solver called: the shared loop is not
+    # reached through the other public solver, whose span would then count
+    # the same time twice, and the final stores are counted once.
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    from perfbench.tracer import Tracer
+
+    other = "adaptive_run" if solver == "alm_run" else "alm_run"
+    for inst in TWO_SET_INSTANCES:
+        tracer = Tracer()
+        with tracer.installed(setmeet):
+            state = getattr(setmeet.alm, solver)(inst.set_p, inst.set_q,
+                                                 setmeet.StepRule.AGNOSTIC, 50).state
+        names = [span[0] for span in tracer.spans]
+        assert names.count(f"alm.{solver}") == 1 and f"alm.{other}" not in names, inst.name
+        assert tracer.counters["alm.seen_final"] == len(state.seen_p) + len(state.seen_q)
 
 
 @pytest.mark.parametrize("dropped", [None, ("alm", "solve_feasibility"), ("alm", "_add_seen"),
@@ -484,23 +508,28 @@ def compare_golden(path: Path, record: dict, write: bool, what: str) -> int:
 
 
 def main_record(argv: list[str]) -> int:
-    """Compare `setmeet solve`, `setmeet bench` and the library runs with the
-    golden digests; rewrite them only with --write."""
+    """Compare `setmeet solve`, `setmeet bench`, the library runs and the
+    benchmark's trace digests with their goldens; with --write, rewrite the
+    first three.  perfbench/golden.json is only compared, never written."""
+    sys.path.insert(0, str(PERFBENCH.parent))
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         record = {}
         for inst in TWO_SET_INSTANCES:
             for rule in RULE_NAMES:
                 record.update(solve_digests(Path(tmp), inst, rule))
+        perfbench = perfbench_digests(Path(tmp))
     benches = {suite: bench_digest(suite)[2] for suite in BENCH_SUITES}
     write = "--write" in argv
     changed = compare_golden(GOLDEN_SOLVE, record, write, "entries")
     changed += compare_golden(GOLDEN_BENCH, benches, write, "bench suites")
     changed += compare_golden(GOLDEN_RUNS, golden_run_record(), write, "library runs")
+    changed += compare_golden(PERFBENCH_GOLDEN, perfbench, False, "perfbench digests")
     return 1 if changed else 0
 
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_cli.py [--write]
-    # Lists the solve entries, bench suites and library runs whose digests
-    # differ, old -> new; --write re-records all three files.
+    # Lists the solve entries, bench suites, library runs and perfbench trace
+    # digests that differ, old -> new; --write re-records the first three
+    # files and leaves perfbench/golden.json to a benchmark change.
     sys.exit(main_record(sys.argv[1:]))
