@@ -76,22 +76,37 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _numbers(obj: dict, name: str, where: str):
+    """A geometry field: a finite JSON number or nested lists of them, and no
+    boolean or string that numpy would read as one."""
+    value = _field(obj, name, where)
+    stack = [value]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(reversed(x))
+        elif (isinstance(x, bool) or not isinstance(x, (int, float))
+              or not abs(x) <= sys.float_info.max):
+            raise SpecError(f"{where}: {name} must hold finite JSON numbers, got {x!r}")
+    return value
+
+
 def _geometry(obj, dimension: int, where: str) -> OracleSet:
     if not isinstance(obj, dict):
         raise SpecError(f"{where}: expected an object with a 'kind' tag")
     kind = _field(obj, "kind", where)
     try:
         if kind == "box":
-            geom = Box(_field(obj, "lower", where), _field(obj, "upper", where))
+            geom = Box(_numbers(obj, "lower", where), _numbers(obj, "upper", where))
         elif kind == "ball":
-            geom = Ball(_field(obj, "center", where), _field(obj, "radius", where))
+            geom = Ball(_numbers(obj, "center", where), _numbers(obj, "radius", where))
         elif kind == "simplex":
             size = _positive_int(_field(obj, "dimension", where), f"{where}.dimension")
-            geom = Simplex(size, obj.get("scale", 1.0))
+            geom = Simplex(size, _numbers(obj, "scale", where) if "scale" in obj else 1.0)
         elif kind == "l1ball":
-            geom = L1Ball(_field(obj, "center", where), _field(obj, "radius", where))
+            geom = L1Ball(_numbers(obj, "center", where), _numbers(obj, "radius", where))
         elif kind == "vpolytope":
-            geom = VPolytope(_field(obj, "vertices", where))
+            geom = VPolytope(_numbers(obj, "vertices", where))
         else:
             raise SpecError(f"{where}.kind: unknown geometry kind {kind!r}")
     except SpecError:

@@ -38,8 +38,7 @@ TIE_REL_TOL = 1e-12
 # Points at most this far apart are one vertex; VertexSet is its only user.
 # Keeps degenerate duplicate columns out of downstream feasibility programs.
 DEDUP_TOL = 1e-9
-# Screen radius of VertexSet.index's row-sum scan, widened for the sum's
-# rounding; VertexSet.__init__ screens with its own Gram bound.
+# Screen radius of VertexSet.index's row-sum scan, widened for its rounding.
 _NEAR_SQ = (1.000001 * DEDUP_TOL) ** 2
 
 
@@ -86,6 +85,52 @@ def _appended(buf: Array, n: int, value) -> Array:
     return buf
 
 
+class _GramScreen:
+    """The float filter of both vertex-pair questions, the pairs within DEDUP_TOL
+    (VertexSet) and a farthest pair (VPolytope.diameter); an exact test of the
+    candidates then gives the scalar answer bit for bit.
+
+    Scaling by the power of two 2**-e that puts the largest |coordinate| in
+    [1/2, 1) and centering on row 0 give c_i in [-2, 2]**d; ``blocks`` yields
+    ``sq_i + sq_j - 2 c_i.c_j`` (sq_i = c_i.c_i) for a block of rows i at a time.
+    With u = 2**-53, R2 the largest sq_i and t the exact scaled distance (t**2 <
+    4 d), a screen value is within E = (4 d + 7) u R2 + 3 u (t**2 + R2) + (2 d + 1)
+    2**-1074 of t**2 (rounding in the matmul, norms, sums, centering and scaling;
+    underflow in the products).  Both exact tests, ``euclidean_norm``'s dot and
+    the diameter's row sum, round q = sum_k (p_ik - p_jk)**2 on the unscaled rows
+    to within F = (d + 2) u t**2 + d 2**(-1075 - 2e) of t**2 once scaled by
+    2**-2e (an ``inf`` is a q past the largest float).  So a pair the dedup test
+    accepts, q <= DEDUP_TOL**2 (1 + 2.01 u), screens at most tau**2 (1 + 2.01 u)
+    + E + F, tau = DEDUP_TOL 2**-e, and a pair of largest q at least M - 2 E - 2 F,
+    M the largest screen value.  ``slack(t2)`` = 2**-44 (d + 4) (t2 + R2) +
+    (d + 1) 2**-1072 + (d + 2) 2**min(-1074 - 2e, 3), at t2 = tau**2 or M, covers
+    both: rounding stays below 8 (d + 4) u (t**2 + R2), a 64th of its first term,
+    and underflow below its other two.  Where the cap at 3 binds, 8 (d + 2) exceeds
+    the spread of all screen values, in (-1, 4 d + 1): every pair is a candidate.
+    A larger slack is always sound; it only sends more pairs to the exact test."""
+
+    def __init__(self, points: Array):
+        self.e = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+        self.c = np.ldexp(points, -self.e) - np.ldexp(points[:1], -self.e)
+        self.sq = np.einsum("ij,ij->i", self.c, self.c)
+
+    def slack(self, t2: float) -> float:
+        d, r2 = self.c.shape[1], float(self.sq.max(initial=0.0))
+        return (math.ldexp(d + 4, -44) * (t2 + r2) + math.ldexp(d + 1, -1072)
+                + math.ldexp(d + 2, min(-1074 - 2 * self.e, 3)))
+
+    def blocks(self):
+        # (lo, screen of rows lo to hi - 1 against rows 0 to hi - 1), a block
+        # small enough that its values, masks and the next Gram stay under 10 MiB.
+        block = max(1, 2**19 // max(1, len(self.c)))
+        for lo in range(0, len(self.c), block):
+            values = self.c[lo:lo + block] @ self.c[:lo + block].T
+            values *= -2.0
+            values += self.sq[:lo + block]
+            values += self.sq[lo:lo + block, None]
+            yield lo, values
+
+
 class VertexSet:
     """Distinct points in insertion order, as the ``(n, d)`` array ``rows``.
 
@@ -102,51 +147,19 @@ class VertexSet:
     """
 
     def __init__(self, points: Array):
-        """Keep the rows of ``points`` that duplicate no earlier kept row.
-
-        Scaling by the power of two 2**-e that puts the largest |coordinate|
-        in [1/2, 1) gives s_i; centering on row 0 gives c_i = s_i - s_0, with
-        coordinates in [-2, 2], so nothing overflows.  One matmul per block of
-        rows gives the screen ``sq_i + sq_j - 2 c_i.c_j`` against the earlier
-        rows.  With u = 2**-53, tau = DEDUP_TOL 2**-e and R2 the largest
-        ``sq_i``, a pair the exact test accepts lies at a scaled distance t
-        with t**2 <= tau**2 (1 + (d + 6) u).  Centering rounds relative to
-        ``s_i - s_0``, which adds at most 2.01 u (t**2 + R2) to the square;
-        the Gram rounding adds (4 d + 7) u R2, and underflow in the scaling
-        and the products (2 d + 1) 2**-1074.  The slack
-        ``2**-46 (d + 4) (tau**2 + R2) + (d + 1) 2**-1072`` is at least 32
-        times the rounding terms and twice the underflow term, so a screen
-        value ``<= tau**2 + slack`` keeps every such pair.  tau is capped at
-        DEDUP_TOL 2**64 > 1e10, which already exceeds every screen value (all
-        below 17 d): every pair is then a candidate.  Candidates get the exact
-        test, in order, against the near rows kept so far, so the result is
-        the scalar loop's bit for bit.
-        """
-        n, d = points.shape
-        keep = np.ones(n, dtype=bool)
-        e = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
-        c = np.ldexp(points, -e)
-        c -= c[:1].copy()
-        sq = np.einsum("ij,ij->i", c, c)
-        tau2 = math.ldexp(DEDUP_TOL, min(-e, 64)) ** 2
-        r2 = float(sq.max(initial=0.0))
-        bound = tau2 + math.ldexp(d + 4, -46) * (tau2 + r2) + math.ldexp(d + 1, -1072)
-        # Small enough that a block's screen values, its masks and the next
-        # block's Gram stay under 10 MiB together.
-        block = max(1, 2**19 // max(1, n))
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            gram = c[lo:hi] @ c[:hi].T
-            gram *= -2.0
-            gram += sq[:hi]
-            gram += sq[lo:hi, None]
-            near = (gram <= bound) & (np.arange(hi) < np.arange(lo, hi)[:, None])
-            for i in np.flatnonzero(near.any(axis=1)):
-                earlier = np.flatnonzero(near[i] & keep[:hi])
-                v = points[lo + i]
-                keep[lo + i] = all(
-                    euclidean_norm(v - points[j]) > DEDUP_TOL for j in earlier
-                )
+        """Keep the rows of ``points`` that duplicate no earlier kept row: each pair
+        screening at most tau**2 + ``slack(tau**2)`` (tau = DEDUP_TOL 2**-e, capped
+        at DEDUP_TOL 2**64 > 1e10, past every screen value) gets the exact test, in
+        order, against the near rows kept so far."""
+        keep = np.ones(len(points), dtype=bool)
+        screen = _GramScreen(points)
+        tau2 = math.ldexp(DEDUP_TOL, min(-screen.e, 64)) ** 2
+        bound = tau2 + screen.slack(tau2)
+        for lo, values in screen.blocks():
+            near = (values <= bound) & np.tri(*values.shape, lo - 1, dtype=bool)
+            for i in lo + np.flatnonzero(near.any(axis=1)):
+                earlier = np.flatnonzero(near[i - lo] & keep[:values.shape[1]])
+                keep[i] = all(euclidean_norm(points[i] - points[j]) > DEDUP_TOL for j in earlier)
         self._buf = self.rows = points[keep]
 
     def index(self, v: Array) -> int:
@@ -440,34 +453,20 @@ class VPolytope:
 
     def diameter(self) -> float:
         """The largest vertex distance, bit for bit as the full pairwise scan
-        ``sqrt(max_ij ((v_i - v_j) ** 2).sum())`` rounds it, in O(m^2 + m d) memory.
-
-        A Gram screen picks the candidate pairs. The vertices are centered on
-        the first one, so no centered norm exceeds the diameter, and scaled by
-        the power of two that puts the largest coordinate in [1/2, 1), so no
-        screen square overflows or underflows. One matmul gives
-        ``sq_i + sq_j - 2 c_i.c_j``. Its rounding, the centering's and the
-        scan's own stay below ``12 (d + 4) 2**-53 R2``, R2 the largest
-        ``sq_i``, plus ``(d + 2) 2**-1074`` (scaled) where the scan's squares
-        are subnormal. The slack is ``2**-44 (d + 4) R2`` plus that subnormal
-        term. Every pair within the slack of the screen's maximum is recomputed
-        with the scan's expression on the unscaled vertices, so the result is
-        the scan's: ``inf`` where its squares overflow, ``0.0`` where they
-        underflow.
-        """
+        ``sqrt(max_ij ((v_i - v_j) ** 2).sum())`` rounds it: ``inf`` where its
+        squares overflow, ``0.0`` where they underflow.  One pass over _GramScreen's
+        blocks finds the largest screen value M, a second rescans the pairs within
+        ``slack(M)`` of it.  Memory: one block of at most 2**19 screen values plus
+        that block's candidate pairs."""
         v = self.vertices
-        c = v - v[0]
-        if not np.all(np.isfinite(c)):
-            return math.inf  # some v_i - v_0 overflows, and so does the scan
-        e = int(np.frexp(np.abs(c).max())[1])
-        c = np.ldexp(c, -e)
-        sq = (c * c).sum(axis=1)
-        screen = sq[:, None] + sq[None, :] - 2.0 * (c @ c.T)
-        d = v.shape[1]
-        # The subnormal term is capped where it already keeps every pair.
-        slack = math.ldexp(d + 4, -44) * float(sq.max()) + math.ldexp(d + 2, min(-1074 - 2 * e, 3))
-        i, j = np.nonzero(screen >= screen.max() - slack)
-        return float(np.sqrt(((v[i] - v[j]) ** 2).sum(axis=1).max()))
+        screen = _GramScreen(v)
+        top = max(float(values.max()) for _, values in screen.blocks())
+        floor = top - screen.slack(top)
+        best = 0.0
+        for lo, values in screen.blocks():
+            i, j = np.nonzero(values >= floor)
+            best = max(best, float(((v[lo + i] - v[j]) ** 2).sum(axis=1).max(initial=0.0)))
+        return math.sqrt(best)
 
     def contains(self, x, tol: float = 1e-7) -> bool:
         """Whether ``hull_distance``, never below the true distance and at most

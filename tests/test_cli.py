@@ -206,15 +206,26 @@ class TestErrors:
         assert main(["solve", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error: spec.set_p.dimension")
 
-    @pytest.mark.parametrize("set_p", [
-        {"kind": "ball", "center": [0, 0], "radius": "abc"},
-        {"kind": "vpolytope", "vertices": [[0, 0], [1]]},
-        {"kind": "simplex", "dimension": 2, "scale": "x"},
-    ], ids=["radius", "vertices", "scale"])
-    def test_malformed_geometry_names_its_field(self, tmp_path, capsys, set_p):
+    @pytest.mark.parametrize("set_p, field", [
+        ({"kind": "ball", "center": [0, 0], "radius": "abc"}, "radius"),
+        ({"kind": "vpolytope", "vertices": [[0, 0], [1]]}, None),  # numpy's ragged-array error
+        ({"kind": "simplex", "dimension": 2, "scale": "x"}, "scale"),
+        # Booleans and numeric strings, which numpy would read as numbers.
+        ({"kind": "ball", "center": [0, 0], "radius": True}, "radius"),
+        ({"kind": "box", "lower": [False, 0], "upper": [1, 1]}, "lower"),
+        ({"kind": "box", "lower": [0, 0], "upper": ["1", 1]}, "upper"),
+        ({"kind": "simplex", "dimension": 2, "scale": True}, "scale"),
+        ({"kind": "vpolytope", "vertices": [[True, False], [0, 1]]}, "vertices"),
+        ({"kind": "ball", "center": ["0", "0"], "radius": "1.5"}, "center"),
+        # An integer past the largest float, which float() cannot convert.
+        ({"kind": "l1ball", "center": [0, 0], "radius": 10**400}, "radius"),
+    ], ids=["radius", "vertices", "scale", "radius-bool", "lower-bool", "upper-string",
+            "scale-bool", "vertices-bool", "center-string", "radius-huge"])
+    def test_malformed_geometry_names_its_field(self, tmp_path, capsys, set_p, field):
         path = write_spec(tmp_path, algorithm="alm", set_p=set_p)
         assert main(["solve", str(path)]) == 3
-        assert capsys.readouterr().err.startswith("error: spec.set_p:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spec.set_p: {field or ''}"), err
 
     def test_zero_max_iters_override_exits_three(self, tmp_path, capsys):
         path = write_spec(

@@ -229,6 +229,16 @@ class TestDiameter:
                                (sphere + offset) * scale]
         # A coordinate range beyond the largest float: v_i - v_j overflows.
         clouds.append(np.array([[1e308, 0.0], [0.0, 1.0], [-1e308, 2.0]]))
+        # More than 724 vertices, so the screen runs in several blocks of rows.
+        clouds += [rng.normal(size=(1200, 3)) * scale for scale in (1e-150, 1.0, 1e150)]
+        # The farthest pair, rows 10 and 1100, in the first and the last block.
+        far = rng.uniform(-1.0, 1.0, size=(1200, 3))
+        far[10], far[1100] = [50.0, 1.0, 0.0], [-50.0, 0.0, 1.0]
+        clouds.append(far)
+        # Antipodal points: ties up to rounding between rows k and k + 500.
+        half = rng.normal(size=(500, 3))
+        half /= np.linalg.norm(half, axis=1)[:, None]
+        clouds.append(np.vstack([half, -half]))
         for i, pts in enumerate(clouds):
             with np.errstate(over="ignore"):  # squares overflow from about 1e155 up
                 poly = VPolytope(pts)
@@ -255,8 +265,14 @@ class TestDiameter:
                         got, expected = poly.diameter(), brute_diameter(pts)
                     assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (
                         exponent, offset, m, d)
+        # Several blocks of rows where the scan's squares go subnormal.
+        pts = rng.normal(size=(800, 2)) * 1e-160
+        poly = VPolytope(pts[:1])
+        object.__setattr__(poly, "vertices", pts)
+        got, expected = poly.diameter(), brute_diameter(pts)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
-    def test_vpolytope_memory_is_quadratic(self):
+    def test_vpolytope_diameter_builds_no_difference_tensor(self):
         # The full difference tensor at (300, 30) peaks at 44 MB.
         poly = VPolytope(np.random.default_rng(0).normal(size=(300, 30)))
         tracemalloc.start()
@@ -267,13 +283,18 @@ class TestDiameter:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("shape", [(6000, 3), (2000, 50)], ids=["6000x3", "2000x50"])
-    def test_dedup_memory_is_blockwise(self, shape):
-        # A full n x n Gram at (6000, 3) alone would take 275 MiB.
+    @pytest.mark.parametrize("shape, question", [
+        ((6000, 3), "distinct_rows"), ((2000, 50), "distinct_rows"),
+        ((6000, 3), "diameter"), ((2000, 50), "diameter"),
+    ], ids=["6000x3", "2000x50", "6000x3-diameter", "2000x50-diameter"])
+    def test_dedup_memory_is_blockwise(self, shape, question):
+        # A full n x n Gram at (6000, 3) alone would take 275 MiB; the diameter
+        # runs on the dedup's blockwise screen.
         points = np.random.default_rng(0).normal(size=shape)
+        poly = VPolytope(points)
         tracemalloc.start()
         try:
-            distinct_rows(points)
+            poly.diameter() if question == "diameter" else distinct_rows(points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -466,8 +487,12 @@ def test_dedup_screen_keeps_every_duplicate_at_every_scale(k, spread, d, seed):
     # at 0 to 2 DEDUP_TOL from a random base point.
     planted = base + DEDUP_TOL * (1 + rng.integers(-8, 9, size=(n, 1)) * 2.0 ** -52) * unit[:n]
     near = base[rng.integers(0, n, size=n)] + DEDUP_TOL * rng.uniform(0, 2, size=(n, 1)) * unit[n:]
-    pts = np.vstack([base, planted, near])
-    _assert_dedup_is_the_scalar_loop(pts[rng.permutation(3 * n)], (k, spread, d, seed))
+    pts = np.vstack([base, planted, near])[rng.permutation(3 * n)]
+    _assert_dedup_is_the_scalar_loop(pts, (k, spread, d, seed))
+    # The diameter's screen shares the dedup's slack.
+    poly = VPolytope(pts)
+    got, expected = poly.diameter(), brute_diameter(poly.vertices)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 def same_bits(a, b) -> bool:
