@@ -65,6 +65,6 @@ from .oracles import (
     support_gap,
     supports_projection,
 )
-from .pocs import PocsRateReport, PocsTrace, check_pocs_rate, pocs_certificate, pocs_run
+from .pocs import PocsTrace, check_pocs_rate, pocs_certificate, pocs_run
 
 __version__ = "0.1.0"

@@ -68,9 +68,9 @@ from .feasibility import hull_meet
 from .feasibility import solve_feasibility  # noqa: F401  (read only by perfbench's tracer)
 from .oracles import (
     Array,
-    DimensionMismatch,
     GeometryError,
     OracleSet,
+    _same_dim,
     euclidean_norm,
     support_gap,
 )
@@ -182,10 +182,7 @@ def _alternate(set_p, set_q, rule, max_iters, start, adaptive, *,
     a checkpoint follows the sweeps t = 2^k; without it the run ends on
     the separation test.
     """
-    if set_p.dim != set_q.dim:
-        raise DimensionMismatch(
-            f"sets live in dimensions {set_p.dim} and {set_q.dim}"
-        )
+    _same_dim(set_p, set_q)
     if max_iters < 1:
         raise GeometryError("max_iters must be >= 1")
     problem = distance_problem(set_p, set_q)

@@ -43,7 +43,7 @@ from .oracles import Array, GeometryError, OracleSet, VertexSet, _appended, as_v
 SHORT_STEP_GUARD = 1e-14
 
 # A measured rate exceeding its bound by no more than this is rounding,
-# not a violation (``check_rate_bounds``, ``pocs.check_pocs_rate``).
+# not a violation (``RateReport.check``, the one rule every rate check applies).
 RATE_SLACK = 1e-9
 
 
@@ -306,7 +306,7 @@ def full_gap(problem: BlockProblem, point: Sequence[Array]) -> float:
 
 @dataclass
 class BoundRow:
-    sweep: int
+    step: int
     measured: float
     bound: float
     ok: bool
@@ -314,13 +314,28 @@ class BoundRow:
 
 @dataclass
 class RateReport:
-    primal_rows: list[BoundRow]
-    dual_rows: list[BoundRow]
-    violations: list[str]
+    """Measured rates against their bounds, one list of rows per named bound."""
+
+    rows: dict[str, list[BoundRow]] = field(default_factory=dict)
+    violations: list[str] = field(default_factory=list)
+
+    def check(self, name: str, step: int, measured: float, bound: float, where: str) -> None:
+        """Record ``measured`` against ``bound`` under ``name``; a miss beyond
+        ``RATE_SLACK`` adds a violation line naming the bound and ``where step``."""
+        ok = measured <= bound + RATE_SLACK
+        self.rows.setdefault(name, []).append(BoundRow(step, measured, bound, ok))
+        if not ok:
+            self.violations.append(f"{where} {step}: {name} {measured:.6e} > bound {bound:.6e}")
 
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    @property
+    def worst(self) -> float:
+        """The largest ``measured - bound`` over every row; -inf with no rows."""
+        return max((r.measured - r.bound for rows in self.rows.values() for r in rows),
+                   default=-math.inf)
 
 
 def _gradient_norm_bound(problem: BlockProblem) -> float:
@@ -349,25 +364,16 @@ def check_rate_bounds(trace: IterateTrace, problem: BlockProblem, fstar: float) 
 
     Checks every completed sweep s >= 1: the primal bound on
     f(x^{k s}) - fstar, and (where the trace recorded full gaps) the
-    bound on the running minimum of the gap.  Report-only; violations
-    beyond ``RATE_SLACK`` are listed, never raised.
+    bound on the running minimum of the gap, as the rows ``"primal"`` and
+    ``"min gap"``.  Report-only; violations are listed, never raised.
     """
     c = rate_constant(problem, trace.rule)
     k = problem.k
-    primal_rows: list[BoundRow] = []
-    dual_rows: list[BoundRow] = []
-    violations: list[str] = []
-
+    agnostic = trace.rule is StepRule.AGNOSTIC
+    report = RateReport()
     for s in range(1, trace.sweeps + 1):
-        measured = trace.objective_at_sweep(s) - fstar
-        if trace.rule is StepRule.AGNOSTIC:
-            bound = 2.0 / (s + 2) * c
-        else:
-            bound = 4.0 * k / (s + 4) * c
-        ok = measured <= bound + RATE_SLACK
-        primal_rows.append(BoundRow(s, measured, bound, ok))
-        if not ok:
-            violations.append(f"sweep {s}: primal {measured:.6e} > bound {bound:.6e}")
+        bound = (2.0 / (s + 2) if agnostic else 4.0 * k / (s + 4)) * c
+        report.check("primal", s, trace.objective_at_sweep(s) - fstar, bound, "sweep")
 
     best_gap = math.inf
     for s in range(1, trace.sweeps):
@@ -375,13 +381,6 @@ def check_rate_bounds(trace: IterateTrace, problem: BlockProblem, fstar: float) 
         if row.full_gap is None:
             continue
         best_gap = min(best_gap, row.full_gap)
-        if trace.rule is StepRule.AGNOSTIC:
-            bound = 6.75 / (s + 2) * c
-        else:
-            bound = 8.0 * k / (s + 4) * c
-        ok = best_gap <= bound + RATE_SLACK
-        dual_rows.append(BoundRow(s, best_gap, bound, ok))
-        if not ok:
-            violations.append(f"sweep {s}: min gap {best_gap:.6e} > bound {bound:.6e}")
-
-    return RateReport(primal_rows, dual_rows, violations)
+        bound = (6.75 / (s + 2) if agnostic else 8.0 * k / (s + 4)) * c
+        report.check("min gap", s, best_gap, bound, "sweep")
+    return report

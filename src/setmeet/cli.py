@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alm, instances
-from .cbcg import RATE_SLACK, IterateTrace, StepRule, cbcg_run, check_rate_bounds
+from .cbcg import IterateTrace, RateReport, StepRule, cbcg_run, check_rate_bounds
 from .feasibility import FeasibilityProgram, epsilon_pq, solve_feasibility
 from .oracles import (
     Ball,
@@ -77,8 +77,8 @@ def _positive_int(value, name: str) -> int:
 
 
 def _numbers(obj: dict, name: str, where: str):
-    """A geometry field: a finite JSON number or nested lists of them, and no
-    boolean or string that numpy would read as one."""
+    """A geometry field: a finite JSON number or nested lists of them, no
+    boolean or string that numpy would read as one, and no ragged list."""
     value = _field(obj, name, where)
     stack = [value]
     while stack:
@@ -88,6 +88,10 @@ def _numbers(obj: dict, name: str, where: str):
         elif (isinstance(x, bool) or not isinstance(x, (int, float))
               or not abs(x) <= sys.float_info.max):
             raise SpecError(f"{where}: {name} must hold finite JSON numbers, got {x!r}")
+    try:
+        np.array(value, dtype=float)
+    except ValueError:
+        raise SpecError(f"{where}: {name} must be a rectangular list of numbers") from None
     return value
 
 
@@ -225,47 +229,32 @@ def run_from_spec(path, *, max_iters: int | None = None, rule: str | None = None
 
 
 def _bench_rates() -> int:
-    failures = 0
-    print(f"{'instance':<24} {'rule':<10} {'worst slack':>14} status")
+    reports: list[tuple[str, str, RateReport]] = []
     for pinst in instances.POCS_INSTANCES:
         trace = pocs_run(
             pinst.set_p, pinst.set_q, np.array(pinst.y0, dtype=float), 400,
             d_known=None if pinst.d_hat is None else np.array(pinst.d_hat),
         )
-        report = check_pocs_rate(trace, pinst.dist_y0)
-        worst = max(
-            (r.measured - r.bound for r in report.residual_rows + report.intersect_rows),
-            default=-math.inf,
-        )
-        failures += 0 if report.passed else 1
-        print(f"{pinst.name:<24} {'pocs':<10} {worst:>14.3e} "
-              f"{'ok' if report.passed else 'VIOLATED'}")
+        reports.append((pinst.name, "pocs", check_pocs_rate(trace, pinst.dist_y0)))
     for inst in instances.block_instances():
         for rule in (StepRule.AGNOSTIC, StepRule.SHORT_STEP):
             starts = [np.array(s, dtype=float) for s in inst.start]
             trace = cbcg_run(inst.problem, starts, rule, inst.sweeps, record_full_gap=True)
-            report = check_rate_bounds(trace, inst.problem, inst.fstar)
-            worst = max(
-                (r.measured - r.bound for r in report.primal_rows + report.dual_rows),
-                default=-math.inf,
-            )
-            status = "ok" if report.passed else "VIOLATED"
-            failures += 0 if report.passed else 1
-            print(f"{inst.name:<24} {rule.value:<10} {worst:>14.3e} {status}")
+            reports.append((inst.name, rule.value,
+                            check_rate_bounds(trace, inst.problem, inst.fstar)))
     for inst in instances.TWO_SET_INSTANCES:
         result = alm.alm_run(inst.set_p, inst.set_q, StepRule.AGNOSTIC, 300)
         d_p, d_q = inst.set_p.diameter(), inst.set_q.diameter()
-        worst = -math.inf
+        report = RateReport()
         for t, dsq in enumerate(result.distance_sq):
-            bound = (
-                alm.RATE_CONSTANT * (d_p ** 2 + d_q ** 2) / (t + 2)
-                + inst.distance ** 2 / 4.0
-            )
-            worst = max(worst, dsq / 4.0 - bound)
-        ok = worst <= RATE_SLACK
-        failures += 0 if ok else 1
-        print(f"{inst.name:<24} {'agnostic':<10} {worst:>14.3e} {'ok' if ok else 'VIOLATED'}")
-    return failures
+            bound = alm.RATE_CONSTANT * (d_p ** 2 + d_q ** 2) / (t + 2) + inst.distance ** 2 / 4.0
+            report.check("primal", t, dsq / 4.0, bound, "iteration")
+        reports.append((inst.name, "agnostic", report))
+    print(f"{'instance':<24} {'rule':<10} {'worst slack':>14} status")
+    for name, rule, report in reports:
+        print(f"{name:<24} {rule:<10} {report.worst:>14.3e} "
+              f"{'ok' if report.passed else 'VIOLATED'}")
+    return sum(not report.passed for _, _, report in reports)
 
 
 def _bench_certificates() -> int:

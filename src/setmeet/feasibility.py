@@ -10,7 +10,9 @@ Wolfe's minimum-norm-point method runs every hull question in one loop,
 ``_wolfe``.  ``hull_meet`` decides this program by a meet or a strict
 separating hyperplane: warm-started at the adaptive checkpoints, and
 through ``solve_feasibility`` for ``setmeet feastest`` and
-``epsilon_pq``.  ``hull_distance``, certified by its dual gap, answers
+``epsilon_pq``.  A separating direction holds in rounded arithmetic: it
+is no exact certificate, and exact arithmetic may find it off by a
+rounding error.  ``hull_distance``, certified by its dual gap, answers
 distance and (through ``VPolytope.contains``) membership.
 """
 
@@ -264,8 +266,9 @@ class HullMeet(NamedTuple):
     """``hull_meet``'s verdict and where its loop stopped.
 
     ``combination`` is set on a meet and ``direction`` (a d with
-    min_u <d, u> > max_v <d, v>) on a separation; neither, when there is
-    no verdict.  ``weights`` lie on the rows ``support`` of [U; V], ku = |U|.
+    min_u <d, u> > max_v <d, v> in rounded arithmetic, no exact
+    certificate) on a separation; neither, when there is no verdict.
+    ``weights`` lie on the rows ``support`` of [U; V], ku = |U|.
     """
 
     combination: FeasibleCombination | None

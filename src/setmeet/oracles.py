@@ -456,16 +456,20 @@ class VPolytope:
         ``sqrt(max_ij ((v_i - v_j) ** 2).sum())`` rounds it: ``inf`` where its
         squares overflow, ``0.0`` where they underflow.  One pass over _GramScreen's
         blocks finds the largest screen value M, a second rescans the pairs within
-        ``slack(M)`` of it.  Memory: one block of at most 2**19 screen values plus
-        that block's candidate pairs."""
+        ``slack(M)`` of it, 2**17 coordinates at a time.  Memory: one block of at
+        most 2**19 screen values, its candidates' indices and one chunk of
+        differences, however many pairs tie."""
         v = self.vertices
         screen = _GramScreen(v)
         top = max(float(values.max()) for _, values in screen.blocks())
         floor = top - screen.slack(top)
+        chunk = max(1, 2**17 // v.shape[1])
         best = 0.0
         for lo, values in screen.blocks():
             i, j = np.nonzero(values >= floor)
-            best = max(best, float(((v[lo + i] - v[j]) ** 2).sum(axis=1).max(initial=0.0)))
+            for k in range(0, len(i), chunk):
+                diff = v[lo + i[k:k + chunk]] - v[j[k:k + chunk]]
+                best = max(best, float((diff ** 2).sum(axis=1).max()))
         return math.sqrt(best)
 
     def contains(self, x, tol: float = 1e-7) -> bool:
@@ -490,6 +494,12 @@ def supports_projection(s: OracleSet) -> bool:
     return isinstance(s, PROJECTABLE)
 
 
+def _same_dim(set_p: OracleSet, set_q: OracleSet) -> None:
+    """Raise DimensionMismatch unless both sets live in one dimension."""
+    if set_p.dim != set_q.dim:
+        raise DimensionMismatch(f"sets live in dimensions {set_p.dim} and {set_q.dim}")
+
+
 def support_gap(set_p: OracleSet, set_q: OracleSet, g) -> float:
     """min over x in P, y in Q of <g, x - y>, using exactly two LMO calls.
 
@@ -497,10 +507,7 @@ def support_gap(set_p: OracleSet, set_q: OracleSet, g) -> float:
     hyperplane normal to g separates them with that margin.
     """
     g = as_vector(g, set_p.dim, "direction")
-    if set_q.dim != set_p.dim:
-        raise DimensionMismatch(
-            f"sets live in dimensions {set_p.dim} and {set_q.dim}"
-        )
+    _same_dim(set_p, set_q)
     vp = set_p.lmo(g)
     vq = set_q.lmo(-g)
     return float(np.dot(g, vp) - np.dot(g, vq))

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alm import Certificate, Undecided, intersection_point
-from .cbcg import RATE_SLACK, NumericsError
+from .cbcg import NumericsError, RateReport
 from .oracles import (
     Array,
-    DimensionMismatch,
     GeometryError,
     OracleSet,
     ProjectionUnsupported,
+    _same_dim,
     as_vector,
     supports_projection,
 )
@@ -66,8 +66,7 @@ def pocs_run(
     Stops early once consecutive y iterates agree to within 1e-13, and
     raises NumericsError when a residual or distance is not finite.
     """
-    if set_p.dim != set_q.dim:
-        raise DimensionMismatch(f"sets live in dimensions {set_p.dim} and {set_q.dim}")
+    _same_dim(set_p, set_q)
     if max_iters < 1:
         raise GeometryError("max_iters must be >= 1")
     for s in (set_p, set_q):
@@ -116,50 +115,20 @@ def pocs_certificate(set_p: OracleSet, set_q: OracleSet, trace: PocsTrace) -> Ce
     return Undecided(math.sqrt(last.distance_sq), 0, last.t)
 
 
-@dataclass
-class PocsBoundRow:
-    t: int
-    measured: float
-    bound: float
-    ok: bool
-
-
-@dataclass
-class PocsRateReport:
-    residual_rows: list[PocsBoundRow]
-    intersect_rows: list[PocsBoundRow]
-    violations: list[str]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_pocs_rate(trace: PocsTrace, dist_y0: float) -> PocsRateReport:
-    """Check the averaged residual bound, and the gap bound when d_hat = 0.
+def check_pocs_rate(trace: PocsTrace, dist_y0: float) -> RateReport:
+    """Check the averaged residual bound, and the gap bound when d_hat = 0,
+    as the rows ``"mean residual"`` and ``"gap"``.
 
     ``dist_y0`` is dist(y0, Q_min), supplied analytically by the caller.
-    Report-only; violations beyond ``RATE_SLACK`` are listed.
+    Report-only; violations are listed, never raised.
     """
-    residual_rows: list[PocsBoundRow] = []
-    intersect_rows: list[PocsBoundRow] = []
-    violations: list[str] = []
+    report = RateReport()
     intersecting = bool(np.all(trace.d_hat == 0.0))
-
     running = 0.0
     for row in trace.rows:
-        t = row.t
         running += row.residual
-        measured = running / t
-        bound = dist_y0 ** 2 / t
-        ok = measured <= bound + RATE_SLACK
-        residual_rows.append(PocsBoundRow(t, measured, bound, ok))
-        if not ok:
-            violations.append(f"t={t}: mean residual {measured:.6e} > {bound:.6e}")
+        bound = dist_y0 ** 2 / row.t
+        report.check("mean residual", row.t, running / row.t, bound, "iteration")
         if intersecting:
-            ok2 = row.distance_sq <= bound + RATE_SLACK
-            intersect_rows.append(PocsBoundRow(t, row.distance_sq, bound, ok2))
-            if not ok2:
-                violations.append(f"t={t}: gap {row.distance_sq:.6e} > {bound:.6e}")
-
-    return PocsRateReport(residual_rows, intersect_rows, violations)
+            report.check("gap", row.t, row.distance_sq, bound, "iteration")
+    return report

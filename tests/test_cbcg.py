@@ -184,8 +184,8 @@ class TestRateBounds:
         )
         report = check_rate_bounds(trace, problem, 0.0)
         assert report.passed
-        assert len(report.primal_rows) == 150
-        assert report.dual_rows
+        assert len(report.rows["primal"]) == 150
+        assert report.rows["min gap"]
 
     def test_fabricated_violation_is_flagged(self):
         problem = simplex_center_problem()

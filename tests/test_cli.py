@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -208,7 +209,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("set_p, field", [
         ({"kind": "ball", "center": [0, 0], "radius": "abc"}, "radius"),
-        ({"kind": "vpolytope", "vertices": [[0, 0], [1]]}, None),  # numpy's ragged-array error
+        ({"kind": "vpolytope", "vertices": [[0, 0], [1]]}, "vertices"),
         ({"kind": "simplex", "dimension": 2, "scale": "x"}, "scale"),
         # Booleans and numeric strings, which numpy would read as numbers.
         ({"kind": "ball", "center": [0, 0], "radius": True}, "radius"),
@@ -225,7 +226,7 @@ class TestErrors:
         path = write_spec(tmp_path, algorithm="alm", set_p=set_p)
         assert main(["solve", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: spec.set_p: {field or ''}"), err
+        assert err.startswith(f"error: spec.set_p: {field}"), err
 
     def test_zero_max_iters_override_exits_three(self, tmp_path, capsys):
         path = write_spec(
@@ -299,6 +300,16 @@ class TestBench:
 
     def test_rates_suite(self):
         assert "all ok" in run_bench("rates")
+
+    def test_rates_suite_applies_one_slack_rule(self, monkeypatch):
+        # Every table reads cbcg's slack: with no slack at all, every row fails.
+        monkeypatch.setattr(setmeet.cbcg, "RATE_SLACK", -math.inf)
+        rc, out, _ = bench_digest("rates")
+        rows = out.splitlines()[1:-1]
+        assert rc == 1
+        assert {row.split()[1] for row in rows} == {"pocs", "agnostic", "short"}
+        assert all(row.endswith(" VIOLATED") for row in rows), out
+        assert out.splitlines()[-1] == f"suite rates: {len(rows)} violation(s)"
 
     def test_adaptive_suite(self):
         assert "all ok" in run_bench("adaptive")

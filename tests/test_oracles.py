@@ -239,6 +239,10 @@ class TestDiameter:
         half = rng.normal(size=(500, 3))
         half /= np.linalg.norm(half, axis=1)[:, None]
         clouds.append(np.vstack([half, -half]))
+        # Every pair of eye(m) tied, in more chunks of the recheck than one; a
+        # cross-polytope's antipodal pairs tied in a dimension of 100.
+        clouds += [np.eye(m) for m in (60, 150)]
+        clouds.append(np.vstack([np.eye(100), -np.eye(100)]) * 3.0)
         for i, pts in enumerate(clouds):
             with np.errstate(over="ignore"):  # squares overflow from about 1e155 up
                 poly = VPolytope(pts)
@@ -285,12 +289,14 @@ class TestDiameter:
 
     @pytest.mark.parametrize("shape, question", [
         ((6000, 3), "distinct_rows"), ((2000, 50), "distinct_rows"),
-        ((6000, 3), "diameter"), ((2000, 50), "diameter"),
-    ], ids=["6000x3", "2000x50", "6000x3-diameter", "2000x50-diameter"])
+        ((6000, 3), "diameter"), ((2000, 50), "diameter"), ("eye200", "diameter"),
+    ], ids=["6000x3", "2000x50", "6000x3-diameter", "2000x50-diameter", "eye200-diameter"])
     def test_dedup_memory_is_blockwise(self, shape, question):
         # A full n x n Gram at (6000, 3) alone would take 275 MiB; the diameter
-        # runs on the dedup's blockwise screen.
-        points = np.random.default_rng(0).normal(size=shape)
+        # runs on the dedup's blockwise screen.  Every pair of eye(200) ties, so
+        # all 39800 of them are candidates, 122 MiB of differences if rechecked at once.
+        points = (np.eye(200) if shape == "eye200"
+                  else np.random.default_rng(0).normal(size=shape))
         poly = VPolytope(points)
         tracemalloc.start()
         try:

@@ -92,9 +92,9 @@ class TestRateBounds:
         trace = run_instance(inst)
         report = check_pocs_rate(trace, inst.dist_y0)
         assert report.passed, report.violations[:3]
-        assert report.residual_rows
+        assert report.rows["mean residual"]
         if inst.intersecting:
-            assert report.intersect_rows
+            assert report.rows["gap"]
 
     def test_close_start_between_separated_balls(self):
         # y0 = (2.5, 0) sits at distance 0.5 from Q_min = {(2, 0)}.
@@ -110,7 +110,7 @@ class TestRateBounds:
         trace = pocs_run(p, q, np.array([1.5, 1.5]), 20)
         report = check_pocs_rate(trace, 0.0)
         assert report.passed
-        assert report.residual_rows[0].measured == 0.0
+        assert report.rows["mean residual"][0].measured == 0.0
 
     def test_fabricated_violation_flagged(self):
         p, q = Box([0, 0], [2, 2]), Box([1, 1], [3, 3])
