@@ -201,7 +201,6 @@ def _alternate(set_p, set_q, rule, max_iters, start, adaptive, *,
     u: Array | None = None  # a checkpoint's LMO output along x - y, the next first call
     meet = None  # the previous checkpoint's hull_meet answer, its warm start
     decided_size = -1
-    diameters: tuple[float, float] | None = None  # measured once a margin may certify
     best_dsq = math.inf
     certificate: Certificate | None = None
     contact = False
@@ -235,8 +234,7 @@ def _alternate(set_p, set_q, rule, max_iters, start, adaptive, *,
             _add_seen(comb_y, b)
             margin = float(np.dot(g, u) - np.dot(g, b))
             if margin > MARGIN_FLOOR:
-                diameters = diameters or (set_p.diameter(), set_q.diameter())
-                if separates(g, margin, *diameters):
+                if separates(g, margin, set_p.diameter(), set_q.diameter()):
                     certificate = Disjoint(g.copy(), margin, calls, t + 1)
                     break
             if len(comb_x.rows) + len(comb_y.rows) != decided_size:

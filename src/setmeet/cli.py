@@ -76,8 +76,13 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+# Each geometry field's rank: a number, a flat list or a list of lists.
+_RANKS = {"radius": 0, "scale": 0, "center": 1, "lower": 1, "upper": 1, "vertices": 2}
+_RANK_NAMES = ("a number", "a list of numbers", "a list of lists of numbers")
+
+
 def _numbers(obj: dict, name: str, where: str):
-    """A geometry field: a finite JSON number or nested lists of them, no
+    """A geometry field: finite JSON numbers nested to the field's rank, no
     boolean or string that numpy would read as one, and no ragged list."""
     value = _field(obj, name, where)
     stack = [value]
@@ -89,9 +94,11 @@ def _numbers(obj: dict, name: str, where: str):
               or not abs(x) <= sys.float_info.max):
             raise SpecError(f"{where}: {name} must hold finite JSON numbers, got {x!r}")
     try:
-        np.array(value, dtype=float)
+        rank = np.array(value, dtype=float).ndim
     except ValueError:
         raise SpecError(f"{where}: {name} must be a rectangular list of numbers") from None
+    if rank != _RANKS[name]:
+        raise SpecError(f"{where}: {name} must be {_RANK_NAMES[_RANKS[name]]}, got {value!r}")
     return value
 
 

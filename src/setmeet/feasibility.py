@@ -204,13 +204,14 @@ def _wolfe(m_rows: Array, ka: int, support: Array, w: Array, decide: bool):
     (|A| + |B|)(n + 2) steps.
     """
     gap = math.inf
+    rows = m_rows[support]  # the support's rows, filtered and grown along with it
     for _ in range(m_rows.shape[0] * (m_rows.shape[1] + 2)):
-        x = w @ m_rows[support]
+        x = w @ rows
         if decide and euclidean_norm(x) <= HULL_MEET_TOL:
             return "meet", x, support, w, gap
         s = m_rows @ x
-        i = int(np.argmin(s[:ka]))
-        j = ka + int(np.argmin(s[ka:]))
+        i = int(s[:ka].argmin())
+        j = ka + int(s[ka:].argmin())
         if decide and float(s[i]) + float(s[j]) > 0.0:
             return "separated", x, support, w, gap
         in_a = support < ka
@@ -222,17 +223,20 @@ def _wolfe(m_rows: Array, ka: int, support: Array, w: Array, decide: bool):
         new = i if short_a >= short_b else j
         if new in support:
             break  # x is not its support's exact minimizer, so no step helps
-        support = np.append(support, new)
-        w = np.append(w, 0.0)
-        y = _affine_minimizer(m_rows[support], support < ka)
-        while (neg := np.flatnonzero(y < 0.0)).size:
+        support = np.concatenate((support, [new]))
+        w = np.concatenate((w, [0.0]))
+        rows = np.concatenate((rows, m_rows[new:new + 1]))
+        y = _affine_minimizer(rows, support < ka)
+        while (neg := (y < 0.0).nonzero()[0]).size:
             # Step back to where the first weight reaches 0, and drop that point.
             ratio = w[neg] / (w[neg] - y[neg])
             w = w + float(ratio.min()) * (y - w)
-            w[neg[np.argmin(ratio)]] = 0.0
-            support, w = support[w > 0.0], w[w > 0.0]
-            y = _affine_minimizer(m_rows[support], support < ka)
-        support, w = support[y > 0.0], y[y > 0.0]
+            w[neg[ratio.argmin()]] = 0.0
+            keep = w > 0.0
+            support, w, rows = support[keep], w[keep], rows[keep]
+            y = _affine_minimizer(rows, support < ka)
+        keep = y > 0.0
+        support, w, rows = support[keep], y[keep], rows[keep]
     return None, x, support, w, gap
 
 

@@ -17,7 +17,10 @@ direction is treated as an all-way tie.  Determinism makes iterate
 traces byte-for-byte reproducible.
 
 All values are immutable after construction and every operation is a
-pure function, so sets can be shared freely across threads.
+pure function, so sets can be shared freely across threads.  The one
+state a set keeps is ``VPolytope``'s diameter: computed on the first
+call and cached on the instance.  Two threads calling it at once may
+each compute it; both get the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -454,11 +458,17 @@ class VPolytope:
     def diameter(self) -> float:
         """The largest vertex distance, bit for bit as the full pairwise scan
         ``sqrt(max_ij ((v_i - v_j) ** 2).sum())`` rounds it: ``inf`` where its
-        squares overflow, ``0.0`` where they underflow.  One pass over _GramScreen's
-        blocks finds the largest screen value M, a second rescans the pairs within
-        ``slack(M)`` of it, 2**17 coordinates at a time.  Memory: one block of at
-        most 2**19 screen values, its candidates' indices and one chunk of
-        differences, however many pairs tie."""
+        squares overflow, ``0.0`` where they underflow.  Computed on the first
+        call and cached on the instance, as the vertices never change; two
+        threads calling it at once may each compute it, and get the same bits."""
+        return self._diameter
+
+    @cached_property
+    def _diameter(self) -> float:
+        """One pass over _GramScreen's blocks finds the largest screen value M, a
+        second rescans the pairs within ``slack(M)`` of it, 2**17 coordinates at a
+        time.  Memory: one block of at most 2**19 screen values, its candidates'
+        indices and one chunk of differences, however many pairs tie."""
         v = self.vertices
         screen = _GramScreen(v)
         top = max(float(values.max()) for _, values in screen.blocks())

@@ -29,10 +29,12 @@ from setmeet import (
     support_gap,
     threshold_exceeded,
 )
+from setmeet import oracles
 from setmeet.instances import ADAPTIVE_INSTANCES, TWO_SET_INSTANCES
 from setmeet.oracles import DEDUP_TOL
 from helpers import (
-    brute_support_gap, kept_duals, kept_margins, midpoint_gap, primal_bound, scaled_set,
+    brute_diameter, brute_support_gap, kept_duals, kept_margins, midpoint_gap, primal_bound,
+    scaled_set,
 )
 
 RULES = [StepRule.AGNOSTIC, StepRule.SHORT_STEP]
@@ -173,6 +175,27 @@ class TestRecord:
                 else:
                     assert isinstance(result.certificate, Disjoint)
                     assert max(per_set) <= 1
+
+    def test_polytope_diameter_screened_once_across_runs(self, monkeypatch):
+        # Runs sharing a polytope share its diameter: one Gram screen each in all.
+        rng = np.random.default_rng(11)
+        p = VPolytope(rng.normal(size=(40, 6)))
+        q = VPolytope(rng.normal(size=(40, 6)) + 8.0)
+        screened = []
+        screen = oracles._GramScreen
+
+        def counted(points):
+            screened.append(points)
+            return screen(points)
+
+        monkeypatch.setattr(oracles, "_GramScreen", counted)
+        for rule in RULES:
+            assert isinstance(adaptive_run(p, q, rule, 300).certificate, Disjoint)
+        assert len(screened) == 2
+        assert screened[0] is p.vertices and screened[1] is q.vertices
+        for poly in (p, q):
+            expected = brute_diameter(poly.vertices)
+            assert np.float64(poly.diameter()).tobytes() == np.float64(expected).tobytes()
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.value)
     @pytest.mark.parametrize("inst", TWO_SET_INSTANCES, ids=lambda inst: inst.name)

@@ -220,8 +220,13 @@ class TestErrors:
         ({"kind": "ball", "center": ["0", "0"], "radius": "1.5"}, "center"),
         # An integer past the largest float, which float() cannot convert.
         ({"kind": "l1ball", "center": [0, 0], "radius": 10**400}, "radius"),
+        # A field of the wrong rank.
+        ({"kind": "ball", "center": [0, 0], "radius": [1.0]}, "radius"),
+        ({"kind": "simplex", "dimension": 2, "scale": [1.0]}, "scale"),
+        ({"kind": "ball", "center": 0, "radius": 1.0}, "center"),
     ], ids=["radius", "vertices", "scale", "radius-bool", "lower-bool", "upper-string",
-            "scale-bool", "vertices-bool", "center-string", "radius-huge"])
+            "scale-bool", "vertices-bool", "center-string", "radius-huge", "radius-list",
+            "scale-list", "center-number"])
     def test_malformed_geometry_names_its_field(self, tmp_path, capsys, set_p, field):
         path = write_spec(tmp_path, algorithm="alm", set_p=set_p)
         assert main(["solve", str(path)]) == 3

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import time
@@ -28,7 +29,8 @@ from setmeet.cli import main
 from setmeet.feasibility import RESIDUAL_TOL
 from setmeet.instances import ADAPTIVE_INSTANCES
 from helpers import (
-    brute_hull_distance_2d, brute_phase_one_simplex, highs_feasible, random_feasibility_program,
+    _digest, brute_hull_distance_2d, brute_phase_one_simplex, highs_feasible,
+    random_feasibility_program,
 )
 from test_cli import SEG_LEFT, SEG_RIGHT, write_spec
 
@@ -301,6 +303,11 @@ CHECKPOINT_RUNS = {
 }
 
 
+# sha256 of TestHullMeet.test_answers_bit_for_bit's answers, recorded before
+# _wolfe kept its support's rows across steps.
+HULL_MEET_DIGEST = "0e6710faf3952b36be6b45306f9215e2f9e59590c2046d225057c04ba2646d5d"
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a package path reached phase_one_simplex")
 
@@ -435,6 +442,45 @@ class TestHullMeet:
             assert verdict(decide(u, v)) == verdict(answer)
         assert len(checkpoints) > 1
         assert warm < solves["_affine_minimizer"]
+
+    def test_answers_bit_for_bit(self, monkeypatch):
+        # Cold starts on every kind of draw, and chains warm-started on growing
+        # prefixes as the adaptive checkpoints are, against a recorded digest.
+        step_backs = collections.Counter()
+        solve = feasibility._affine_minimizer
+
+        def watched(rows, in_a):
+            y = solve(rows, in_a)
+            step_backs[bool((y < 0.0).any())] += 1
+            return y
+
+        monkeypatch.setattr(feasibility, "_affine_minimizer", watched)
+
+        def parts(answer):
+            combo = answer.combination
+            yield from (answer.support, answer.weights, answer.ku)
+            yield from ([] if combo is None else
+                        [combo.lam, combo.kappa, combo.point, combo.residual])
+            yield [] if answer.direction is None else answer.direction
+
+        digests = []
+        for _, prog in _hull_programs(79, 40):
+            u, v = prog.u_points, prog.v_points
+            try:
+                distance = hull_distance(u, v)
+            except RuntimeError:  # a near miss may stall uncertified
+                distance = math.nan
+            digests.append(_digest(*parts(hull_meet(u, v)), distance))
+        rng = np.random.default_rng(83)
+        for d, offset in ((3, 0.5), (8, 1.0), (20, 0.3), (20, 4.0)):
+            u = rng.normal(size=(60, d))
+            v = rng.normal(size=(60, d)) + offset * rng.normal(size=d)
+            answer = None
+            for k in range(2, 61, 2):
+                answer = hull_meet(u[:k], v[:k + 1 - k % 4], answer)
+                digests.append(_digest(*parts(answer)))
+        assert step_backs[True] > 0  # the draws reach the step-back loop
+        assert hashlib.sha256("".join(digests).encode()).hexdigest() == HULL_MEET_DIGEST
 
 
 class TestHullDistance:
